@@ -2,7 +2,9 @@
 //
 //   ABL-1  early termination: drop completed traces from pointer-jumping
 //          rounds (the paper's requirement) vs visiting all n each round.
-//          Metric: ⊙ applications / PRAM work.
+//          Metric: ⊙ applications.  Plans always terminate early; the naive
+//          count is the closed form seed_ops + rounds·n of the same jumping
+//          schedule (the PRAM simulator runs the naive variant itself).
 //   ABL-2  processor cap: the paper's "fork only up to P processes"
 //          T(n,P) = (n/P)·log n sweep on the PRAM simulator, P up to n —
 //          showing where extra processors stop helping (P > peak width).
@@ -11,10 +13,9 @@
 //          edge blowup for O(log) depth.  Metric: wall time + peak edges.
 //   ABL-4  CAP per-round coalescing (paper's paths-addition every round)
 //          vs merging once at the end.  Metric: peak intermediate edges.
-// Exercises the deprecated one-shot shims (core/compat.hpp) on purpose;
-// the define keeps -Werror builds green without losing the diagnostic
-// elsewhere.
-#define IR_COMPAT_ALLOW_DEPRECATED
+//   ABL-5  blocked two-level plan vs pointer-jumping plan.  Metric: ⊙ count.
+//   ABL-6  persistent SPMD workers vs fork/join per round.  Metric: wall
+//          time of execute_plan (compile is outside the timed region).
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -22,9 +23,8 @@
 #include "algebra/monoids.hpp"
 #include "core/general_ir.hpp"
 #include "core/ordinary_ir.hpp"
-#include "core/ordinary_ir_blocked.hpp"
 #include "core/ordinary_ir_pram.hpp"
-#include "core/compat.hpp"
+#include "core/plan.hpp"
 #include "support/table.hpp"
 #include "support/timer.hpp"
 #include "testing_workloads.hpp"
@@ -33,7 +33,7 @@ using namespace ir;
 
 namespace {
 
-void ablation_early_termination() {
+void ablation_completed_traces() {
   std::printf("ABL-1: early termination of completed traces\n");
   support::TextTable table;
   table.set_header({"n", "rounds", "ops (early-term)", "ops (naive)", "saving"});
@@ -42,18 +42,20 @@ void ablation_early_termination() {
     support::SplitMix64 rng(n);
     const auto sys = bench::random_ordinary_system(n, n + n / 2, rng, 0.9);
     const auto init = bench::random_initial_u64(n + n / 2, rng);
-    core::OrdinaryIrStats eager, naive;
-    core::OrdinaryIrOptions eager_opt, naive_opt;
-    eager_opt.stats = &eager;
-    naive_opt.early_termination = false;
-    naive_opt.stats = &naive;
-    (void)core::ordinary_ir_parallel(op, sys, init, eager_opt);
-    (void)core::ordinary_ir_parallel(op, sys, init, naive_opt);
+    core::PlanOptions plan_options;
+    plan_options.engine = core::EngineChoice::kJumping;
+    const core::Plan plan = core::compile_plan(sys, plan_options);
+    core::OrdinaryIrStats eager;
+    core::ExecOptions exec;
+    exec.ordinary_stats = &eager;
+    (void)core::execute_plan(plan, op, init, exec);
+    // Without early termination every equation is visited in every round,
+    // the completed ones as no-ops.
+    const std::size_t naive_ops = plan.jump.seed_ops + plan.jump.rounds() * n;
     table.add_row({std::to_string(n), std::to_string(eager.rounds),
-                   std::to_string(eager.op_applications),
-                   std::to_string(naive.op_applications),
+                   std::to_string(eager.op_applications), std::to_string(naive_ops),
                    support::fmt_f(100.0 * (1.0 - static_cast<double>(eager.op_applications) /
-                                                     static_cast<double>(naive.op_applications)),
+                                                     static_cast<double>(naive_ops)),
                                   1) +
                        "%"});
   }
@@ -97,20 +99,23 @@ void ablation_cap_vs_dp() {
     std::vector<std::uint64_t> init(n / 2);
     for (auto& v : init) v = 1 + rng.below(1'000'000'006ull);
 
-    graph::CapResult cap_stats;
-    core::GeneralIrOptions cap_opt;
-    cap_opt.cap_out = &cap_stats;
+    // Both legs run every equation (no pruning): the paper's plain algorithm.
+    core::PlanOptions cap_opt;
+    cap_opt.engine = core::EngineChoice::kGeneralCap;
+    cap_opt.prune_dead = false;
     support::Stopwatch watch;
-    const auto via_cap = core::general_ir_parallel(op, sys, init, cap_opt);
+    const core::Plan cap_plan = core::compile_plan(sys, cap_opt);
+    const auto via_cap = core::execute_plan(cap_plan, op, init);
     const double cap_ms = watch.lap() * 1e3;
 
-    core::GeneralIrOptions dp_opt;
+    core::PlanOptions dp_opt = cap_opt;
     dp_opt.reference_counts = true;
-    const auto via_dp = core::general_ir_parallel(op, sys, init, dp_opt);
+    const auto via_dp = core::execute_plan(core::compile_plan(sys, dp_opt), op, init);
     const double dp_ms = watch.lap() * 1e3;
 
     table.add_row({std::to_string(n), support::fmt_f(cap_ms, 2), support::fmt_f(dp_ms, 2),
-                   std::to_string(cap_stats.rounds), std::to_string(cap_stats.peak_edges),
+                   std::to_string(cap_plan.gir.cap_rounds),
+                   std::to_string(cap_plan.gir.cap_peak_edges),
                    via_cap == via_dp ? "yes" : "NO"});
   }
   std::printf("%s\n", table.render().c_str());
@@ -165,15 +170,18 @@ void ablation_blocked_vs_jumping() {
       const auto init = bench::random_initial_u64(sys.cells, rng);
 
       core::OrdinaryIrStats jump_stats;
-      core::OrdinaryIrOptions jump_opt;
-      jump_opt.stats = &jump_stats;
-      const auto a = core::ordinary_ir_parallel(op, sys, init, jump_opt);
-
       core::BlockedIrStats block_stats;
-      core::BlockedIrOptions block_opt;
+      core::ExecOptions exec;
+      exec.ordinary_stats = &jump_stats;
+      exec.blocked_stats = &block_stats;
+      core::PlanOptions jump_opt;
+      jump_opt.engine = core::EngineChoice::kJumping;
+      const auto a = core::execute_plan(core::compile_plan(sys, jump_opt), op, init, exec);
+
+      core::PlanOptions block_opt;
+      block_opt.engine = core::EngineChoice::kBlocked;
       block_opt.blocks = blocks;
-      block_opt.stats = &block_stats;
-      const auto b = core::ordinary_ir_blocked(op, sys, init, block_opt);
+      const auto b = core::execute_plan(core::compile_plan(sys, block_opt), op, init, exec);
       if (a != b) {
         std::printf("ERROR: solver mismatch\n");
         return;
@@ -204,15 +212,23 @@ void ablation_spmd_vs_forkjoin() {
     support::SplitMix64 rng(n);
     const auto sys = bench::random_ordinary_system(n, n + n / 2, rng, 0.9);
     const auto init = bench::random_initial_u64(n + n / 2, rng);
+    core::PlanOptions jump_opt;
+    jump_opt.engine = core::EngineChoice::kJumping;
+    const core::Plan jump_plan = core::compile_plan(sys, jump_opt);
+    core::PlanOptions spmd_opt;
+    spmd_opt.engine = core::EngineChoice::kSpmd;
+    const core::Plan spmd_plan = core::compile_plan(sys, spmd_opt);
     for (std::size_t workers : {2u, 4u}) {
       parallel::ThreadPool pool(workers);
-      core::OrdinaryIrOptions options;
-      options.pool = &pool;
+      core::ExecOptions fork_exec;
+      fork_exec.pool = &pool;
       support::Stopwatch watch;
-      const auto a = core::ordinary_ir_parallel(op, sys, init, options);
+      const auto a = core::execute_plan(jump_plan, op, init, fork_exec);
       const double fork_ms = watch.lap() * 1e3;
 
-      const auto b = core::ordinary_ir_spmd(op, sys, init, workers);
+      core::ExecOptions spmd_exec;
+      spmd_exec.workers = workers;
+      const auto b = core::execute_plan(spmd_plan, op, init, spmd_exec);
       const double spmd_ms = watch.lap() * 1e3;
       if (a != b) {
         std::printf("ERROR: solver mismatch\n");
@@ -230,7 +246,7 @@ void ablation_spmd_vs_forkjoin() {
 int main(int argc, char** argv) {
   // Optional argument: run a single section (1-6); default runs all.
   const int which = argc > 1 ? std::atoi(argv[1]) : 0;
-  if (which == 0 || which == 1) ablation_early_termination();
+  if (which == 0 || which == 1) ablation_completed_traces();
   if (which == 0 || which == 2) ablation_processor_cap();
   if (which == 0 || which == 3) ablation_cap_vs_dp();
   if (which == 0 || which == 4) ablation_coalescing();

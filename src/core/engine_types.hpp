@@ -1,8 +1,7 @@
-// Statistics and option structs shared between the legacy engine entry
-// points (ordinary_ir.hpp, ordinary_ir_blocked.hpp) and the Plan/execute API
-// (plan.hpp).  They live in their own header so plan.hpp can name them
-// without pulling in the engines, and the engines can include plan.hpp for
-// their deprecated shims without an include cycle.
+// Statistics and option structs of the ordinary engines, shared by the
+// Plan/execute API (plan.hpp) and the Möbius solvers (linear_ir.hpp).  They
+// live in their own header so plan.hpp can name them without an include
+// cycle.
 #pragma once
 
 #include <cstddef>
@@ -19,7 +18,8 @@ struct OrdinaryIrStats {
   std::size_t peak_active = 0;      ///< widest round (active traces)
 };
 
-/// Options for the parallel solver.
+/// Options for the one-call solvers that run a cached jumping plan
+/// (linear_ir.hpp, livermore/parallel.hpp); plan callers pass ExecOptions.
 struct OrdinaryIrOptions {
   /// Thread pool for the rounds; nullptr runs them on the calling thread
   /// (still the same O(log n)-round schedule, useful for determinism).
@@ -29,11 +29,6 @@ struct OrdinaryIrOptions {
   /// 0 means "one block per pool thread".
   std::size_t processor_cap = 0;
 
-  /// Drop completed traces from subsequent rounds (the paper's "once a trace
-  /// has been completed we must not continue to concatenate").  Turning this
-  /// off reproduces the naive variant measured by the ablation bench.
-  bool early_termination = true;
-
   /// If non-null, filled with run statistics.
   OrdinaryIrStats* stats = nullptr;
 };
@@ -42,15 +37,8 @@ struct OrdinaryIrOptions {
 struct BlockedIrStats {
   std::size_t blocks = 0;           ///< blocks used in phase 1
   std::size_t partials = 0;         ///< equations with cross-block predecessors
-  std::size_t resolve_rounds = 0;   ///< pointer-jumping rounds over the partials
+  std::size_t resolve_rounds = 0;   ///< blocks with a non-empty fix-up step
   std::size_t op_applications = 0;  ///< total ⊙ applications (work)
-};
-
-/// Options for the blocked solver.
-struct BlockedIrOptions {
-  parallel::ThreadPool* pool = nullptr;  ///< phases 1/2 run here when set
-  std::size_t blocks = 0;                ///< 0 = one block per pool thread (or 1)
-  BlockedIrStats* stats = nullptr;
 };
 
 }  // namespace ir::core

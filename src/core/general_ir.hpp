@@ -24,6 +24,10 @@
 // Non-distinct g (the extension the paper defers to its full version) needs
 // no special casing: "last writer" edges already encode write-after-write
 // ordering, and the final array takes each cell from its last writer.
+//
+// This header holds the dependence graph, the exponent oracle and the
+// sequential reference; the parallel solve runs from a compiled plan
+// (plan.hpp, EngineChoice::kGeneralCap).
 #pragma once
 
 #include <string>
@@ -79,9 +83,5 @@ std::vector<typename Op::Value> general_ir_sequential(
   }
   return values;
 }
-
-// The one-shot general_ir_parallel wrapper (and its GeneralIrOptions) now
-// lives in core/compat.hpp (deprecated): new code compiles a plan once and
-// replays it.
 
 }  // namespace ir::core

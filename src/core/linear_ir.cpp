@@ -96,24 +96,6 @@ std::vector<double> moebius_ir_run(const OrdinaryIrSystem& sys,
   IR_REQUIRE(x.size() == sys.cells, "initial array must have `cells` entries");
   IR_REQUIRE(iteration_maps.size() == sys.iterations(),
              "need exactly one map per iteration");
-  if (!options.early_termination) {
-    // The naive cost model only exists in the legacy hook engine (see
-    // ordinary_ir_parallel); run it directly.
-    IR_SPAN("moebius.solve");
-    IR_COUNTER_ADD("moebius.solves", 1);
-    IR_COUNTER_ADD("moebius.iterations", sys.iterations());
-    const std::vector<double>& init = x;
-    auto traces = ordinary_ir_iteration_values<MoebiusCompose>(
-        MoebiusCompose{}, sys,
-        [&init](std::size_t cell) { return MoebiusMap::constant(init[cell]); },
-        [&iteration_maps](std::size_t i) { return iteration_maps[i]; }, options);
-    std::vector<double> result = std::move(x);
-    for (std::size_t i = 0; i < sys.iterations(); ++i) {
-      IR_INVARIANT(traces[i].is_constant(), "composed Moebius trace must be constant");
-      result[sys.g[i]] = traces[i].apply(0.0);
-    }
-    return result;
-  }
   PlanOptions plan_options;
   plan_options.engine = EngineChoice::kJumping;
   // Content-cached: a Livermore kernel calling this once per timed rep pays

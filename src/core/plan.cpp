@@ -127,9 +127,9 @@ ScanSchedule build_scan_schedule(const std::vector<std::size_t>& pred) {
 }
 
 /// Simulate pointer jumping over the pred forest structurally, recording
-/// every round's (dst, src) moves.  This is exactly the legacy engine's
-/// control flow with values stripped out; the recorded order per round
-/// matches its active-set order, so an executor replay is bit-identical.
+/// every round's (dst, src) moves: the paper's greedy trace concatenation
+/// with values stripped out.  Completed traces leave the active set (early
+/// termination), so the moves of a round are exactly its live traces.
 JumpSchedule build_jump_schedule(const std::vector<std::size_t>& pred) {
   JumpSchedule js;
   const std::size_t n = pred.size();
@@ -178,7 +178,7 @@ BlockedSchedule build_blocked_schedule(const std::vector<std::size_t>& pred,
   bs.blocks = parallel::partition_blocks(n, want_blocks);
 
   // ext[i]: the still-unresolved predecessor outside i's block, propagated
-  // along in-block chains exactly as the legacy phase-1 sweep does.
+  // along in-block chains.
   std::vector<std::size_t> ext(n, kNone);
   for (const auto& block : bs.blocks) {
     for (std::size_t i = block.begin; i < block.end; ++i) {

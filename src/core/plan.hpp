@@ -12,9 +12,8 @@
 //   Plan plan = compile_plan(sys, options);      // structure work, once
 //   auto out  = execute_plan(plan, op, values);  // value work, many times
 //
-// The engines' legacy free functions (ordinary_ir_parallel, ...) remain as
-// deprecated shims that compile a plan per call; the Solver facade in
-// solver.hpp adds a content-addressed PlanCache so even those calls reuse
+// Every parallel engine has exactly one executor, here; the Solver facade in
+// solver.hpp adds a content-addressed PlanCache so one-call users reuse
 // schedules across invocations.
 //
 // Schedules store indices as uint32 (plans refuse systems with 2^32 or more
@@ -58,9 +57,9 @@ enum class PlanEngine { kElementwise, kJumping, kBlocked, kSpmd, kGeneralCap, kS
 
 [[nodiscard]] std::string to_string(PlanEngine engine);
 
-/// Engine selection knob for compile_plan: kAuto reproduces the classic
-/// solve() routing (elementwise / blocked-vs-jumping / GIR) with one
-/// refinement — chain-structured ordinary systems take the kScan fast route.
+/// Engine selection knob for compile_plan: kAuto routes by the analysis
+/// (elementwise / blocked-vs-jumping / GIR), and chain-structured ordinary
+/// systems take the kScan fast route.
 /// The rest force one engine (the ordinary engines require h = g with
 /// injective g; kScan additionally requires the chain structure).
 enum class EngineChoice {
@@ -78,15 +77,14 @@ struct PlanOptions {
   parallel::ThreadPool* pool = nullptr;
 
   /// Cross-block dependence fraction below which kAuto prefers the blocked
-  /// solver over pointer jumping (same knob as SolveOptions).
+  /// solver over pointer jumping.
   double blocked_threshold = 0.25;
 
   /// Blocked partition size; 0 = one block per pool thread (or 1).
   std::size_t blocks = 0;
 
-  /// General-IR route: skip equations nobody reads (kAuto routing keeps the
-  /// classic solve() default of true; the general_ir_parallel shim passes
-  /// its own default of false through).
+  /// General-IR route: skip equations nobody reads.  false runs the paper's
+  /// plain algorithm, CAP over every equation.
   bool prune_dead = true;
 
   /// General-IR route: CAP edge coalescing per round vs at the end.
@@ -367,11 +365,11 @@ std::vector<typename Op::Value> execute_jump_values(
     const auto [begin, round_end] = js.round_span(r);
     const std::size_t width = round_end - begin;
     IR_HISTOGRAM("ordinary.active_width", width);
-    // Read phase into the side buffer, then write phase — the same
-    // synchronous-step discipline as the legacy engine, but the active set
-    // is a precompiled slice instead of a maintained vector.  Values without
-    // a default constructor clone an existing element instead of resizing;
-    // either way the hooks are never re-invoked here.
+    // Read phase into the side buffer, then write phase — the PRAM
+    // synchronous-step discipline, with the round's active set a precompiled
+    // slice of the schedule.  Values without a default constructor clone an
+    // existing element instead of resizing; either way the hooks are never
+    // re-invoked here.
     if constexpr (std::is_default_constructible_v<Value>) {
       new_val.resize(width);
     } else {

@@ -4,14 +4,9 @@
 #include <future>
 #include <utility>
 
-// The harness exercises the deprecated one-shot shims ON PURPOSE: every
-// legacy entry point is a differential leg against the sequential oracle.
-#define IR_COMPAT_ALLOW_DEPRECATED
 #include "algebra/monoids.hpp"
-#include "core/compat.hpp"
 #include "core/general_ir.hpp"
 #include "core/ordinary_ir.hpp"
-#include "core/ordinary_ir_blocked.hpp"
 #include "core/plan.hpp"
 #include "core/plan_io.hpp"
 #include "core/serialize.hpp"
@@ -220,32 +215,39 @@ DifferentialReport run_differential(const GeneralIrSystem& sys,
   }
 
   // --- General route: every system qualifies. -----------------------------
+  // The unpruned CAP over every equation is the paper's plain algorithm, so
+  // it is the base leg; the variants below each change one compile option.
+  PlanOptions gir_plain;
+  gir_plain.engine = EngineChoice::kGeneralCap;
+  gir_plain.prune_dead = false;
   check_leg(report, "gir-cap", oracle, [&] {
-    return core::general_ir_parallel(op, sys, init);
+    return core::execute_plan(core::compile_plan(sys, gir_plain), op, init);
   });
   check_leg(report, "gir-dp", oracle, [&] {
-    core::GeneralIrOptions o;
+    PlanOptions o = gir_plain;
     o.reference_counts = true;
-    return core::general_ir_parallel(op, sys, init, o);
+    return core::execute_plan(core::compile_plan(sys, o), op, init);
   });
   check_leg(report, "gir-cap-prune", oracle, [&] {
-    core::GeneralIrOptions o;
+    PlanOptions o = gir_plain;
     o.prune_dead = true;
-    return core::general_ir_parallel(op, sys, init, o);
+    return core::execute_plan(core::compile_plan(sys, o), op, init);
   });
   if (sys.iterations() <= options.late_coalesce_max_iterations) {
     check_leg(report, "gir-cap-late-coalesce", oracle, [&] {
-      core::GeneralIrOptions o;
+      PlanOptions o = gir_plain;
       o.coalesce_each_round = false;
-      return core::general_ir_parallel(op, sys, init, o);
+      return core::execute_plan(core::compile_plan(sys, o), op, init);
     });
   }
   if (options.pool != nullptr) {
     check_leg(report, "gir-cap-pooled", oracle, [&] {
-      core::GeneralIrOptions o;
+      PlanOptions o = gir_plain;
       o.pool = options.pool;
       o.prune_dead = true;
-      return core::general_ir_parallel(op, sys, init, o);
+      ExecOptions exec;
+      exec.pool = options.pool;
+      return core::execute_plan(core::compile_plan(sys, o), op, init, exec);
     });
   }
 
@@ -384,37 +386,24 @@ DifferentialReport run_differential(const GeneralIrSystem& sys,
     check_leg(report, "ord-sequential", oracle, [&] {
       return core::ordinary_ir_sequential(op, ord, init);
     });
-    check_leg(report, "ord-jumping", oracle, [&] {
-      return core::ordinary_ir_parallel(op, ord, init);
-    });
-    check_leg(report, "ord-jumping-legacy-hooks", oracle, [&] {
-      core::OrdinaryIrOptions o;
-      o.early_termination = false;  // the hook-engine path, not a plan
-      return core::ordinary_ir_parallel(op, ord, init, o);
-    });
     if (options.pool != nullptr) {
       check_leg(report, "ord-jumping-pooled-capped", oracle, [&] {
-        core::OrdinaryIrOptions o;
-        o.pool = options.pool;
-        o.processor_cap = 2;
-        return core::ordinary_ir_parallel(op, ord, init, o);
+        PlanOptions o;
+        o.engine = EngineChoice::kJumping;
+        ExecOptions exec;
+        exec.pool = options.pool;
+        exec.processor_cap = 2;
+        return core::execute_plan(core::compile_plan(ord, o), op, init, exec);
       });
-    }
-    check_leg(report, "ord-blocked", oracle, [&] {
-      core::BlockedIrOptions o;
-      o.blocks = options.blocks;
-      return core::ordinary_ir_blocked(op, ord, init, o);
-    });
-    if (options.pool != nullptr) {
       check_leg(report, "ord-blocked-pooled", oracle, [&] {
-        core::BlockedIrOptions o;
+        PlanOptions o;
+        o.engine = EngineChoice::kBlocked;
         o.pool = options.pool;  // blocks = 0: one block per pool thread
-        return core::ordinary_ir_blocked(op, ord, init, o);
+        ExecOptions exec;
+        exec.pool = options.pool;
+        return core::execute_plan(core::compile_plan(ord, o), op, init, exec);
       });
     }
-    check_leg(report, "ord-spmd", oracle, [&] {
-      return core::ordinary_ir_spmd(op, ord, init, options.spmd_workers);
-    });
 
     for (const auto& [engine, label] :
          {std::pair{EngineChoice::kJumping, "plan-jumping"},
@@ -498,17 +487,19 @@ DifferentialReport run_differential(const GeneralIrSystem& sys,
       const std::vector<std::string> cinit = deterministic_strings(sys.cells);
       auto coracle = core::ordinary_ir_sequential(cat, ord, cinit);
       if (options.corrupt_oracle && sys.iterations() > 0) coracle[sys.g[0]] += '!';
-      check_leg(report, "concat-jumping", coracle, [&] {
-        return core::ordinary_ir_parallel(cat, ord, cinit);
-      });
-      check_leg(report, "concat-blocked", coracle, [&] {
-        core::BlockedIrOptions o;
-        o.blocks = options.blocks;
-        return core::ordinary_ir_blocked(cat, ord, cinit, o);
-      });
-      check_leg(report, "concat-spmd", coracle, [&] {
-        return core::ordinary_ir_spmd(cat, ord, cinit, options.spmd_workers);
-      });
+      for (const auto& [engine, label] :
+           {std::pair{EngineChoice::kJumping, "concat-jumping"},
+            std::pair{EngineChoice::kBlocked, "concat-blocked"},
+            std::pair{EngineChoice::kSpmd, "concat-spmd"}}) {
+        check_leg(report, label, coracle, [&, engine = engine] {
+          PlanOptions o;
+          o.engine = engine;
+          o.blocks = options.blocks;
+          ExecOptions exec;
+          exec.workers = options.spmd_workers;
+          return core::execute_plan(core::compile_plan(ord, o), cat, cinit, exec);
+        });
+      }
 
       // Wide executor with a non-commutative op: WideOps has no string
       // kernels, so this pins the generic per-lane fold path AND operand

@@ -1,13 +1,13 @@
-// Exercises the deprecated one-shot shims (core/compat.hpp) on purpose;
-// the define keeps -Werror builds green without losing the diagnostic
-// elsewhere.
-#define IR_COMPAT_ALLOW_DEPRECATED
-#include "core/compat.hpp"
+// The general-IR route (paper Section 4): dependence graph, CAP path
+// counting, powered evaluation — forced through compile_plan with
+// EngineChoice::kGeneralCap.
 #include "core/general_ir.hpp"
 
 #include <gtest/gtest.h>
 
 #include "algebra/monoids.hpp"
+#include "core/plan.hpp"
+#include "testing/plan_options.hpp"
 #include "testing/random_systems.hpp"
 
 namespace ir::core {
@@ -17,6 +17,8 @@ using algebra::ModAddMonoid;
 using algebra::ModMulMonoid;
 using support::BigUint;
 using testing::random_general_system;
+
+PlanOptions cap() { return testing::plain_cap_options(); }
 
 /// The paper's GIR motivator: A[i] := A[i-1] * A[i-2] for i = 2..n-1.
 GeneralIrSystem fibonacci_system(std::size_t n) {
@@ -98,7 +100,7 @@ TEST(GeneralIrTest, FibonacciProductExactModP) {
   init[0] = 12345;
   init[1] = 67890;
   const auto expect = general_ir_sequential(op, sys, init);
-  const auto actual = general_ir_parallel(op, sys, init);
+  const auto actual = execute_plan(compile_plan(sys, cap()), op, init);
   EXPECT_EQ(actual, expect);
 }
 
@@ -110,7 +112,7 @@ TEST(GeneralIrTest, NonDistinctGHandled) {
   // A[1]: 2 -> 5 -> 8 -> 11.
   const auto expect = general_ir_sequential(op, sys, {3, 2, 0});
   EXPECT_EQ(expect[1], 11u);
-  EXPECT_EQ(general_ir_parallel(op, sys, {3, 2, 0}), expect);
+  EXPECT_EQ(execute_plan(compile_plan(sys, cap()), op, {3, 2, 0}), expect);
 }
 
 TEST(GeneralIrTest, OrdinarySystemsSolveViaGir) {
@@ -120,7 +122,7 @@ TEST(GeneralIrTest, OrdinarySystemsSolveViaGir) {
   ModMulMonoid op(999999937ull);
   std::vector<std::uint64_t> init(150);
   for (auto& v : init) v = 1 + rng.below(999999936ull);
-  EXPECT_EQ(general_ir_parallel(op, sys, init), general_ir_sequential(op, sys, init));
+  EXPECT_EQ(execute_plan(compile_plan(sys, cap()), op, init), general_ir_sequential(op, sys, init));
 }
 
 TEST(GeneralIrTest, MinMonoidIdempotent) {
@@ -129,7 +131,7 @@ TEST(GeneralIrTest, MinMonoidIdempotent) {
   algebra::MinMonoid<std::uint64_t> op;
   std::vector<std::uint64_t> init(100);
   for (auto& v : init) v = rng.below(100000);
-  EXPECT_EQ(general_ir_parallel(op, sys, init), general_ir_sequential(op, sys, init));
+  EXPECT_EQ(execute_plan(compile_plan(sys, cap()), op, init), general_ir_sequential(op, sys, init));
 }
 
 TEST(GeneralIrTest, ReferenceCountsAblationMatches) {
@@ -138,23 +140,18 @@ TEST(GeneralIrTest, ReferenceCountsAblationMatches) {
   ModAddMonoid op(1'000'000'007ull);
   std::vector<std::uint64_t> init(80);
   for (auto& v : init) v = rng.below(1000);
-  GeneralIrOptions dp;
+  PlanOptions dp = cap();
   dp.reference_counts = true;
-  EXPECT_EQ(general_ir_parallel(op, sys, init, dp),
-            general_ir_parallel(op, sys, init, {}));
+  EXPECT_EQ(execute_plan(compile_plan(sys, dp), op, init),
+            execute_plan(compile_plan(sys, cap()), op, init));
 }
 
 TEST(GeneralIrTest, CapStatsExported) {
   const auto sys = fibonacci_system(64);
-  graph::CapResult cap;
-  GeneralIrOptions options;
-  options.cap_out = &cap;
-  ModMulMonoid op(97);
-  std::vector<std::uint64_t> init(64, 2);
-  general_ir_parallel(op, sys, init, options);
-  EXPECT_GT(cap.rounds, 0u);
-  EXPECT_LE(cap.rounds, 8u);  // log2(longest path ~62) + slack
-  EXPECT_GT(cap.peak_edges, 0u);
+  const Plan plan = compile_plan(sys, cap());
+  EXPECT_GT(plan.gir.cap_rounds, 0u);
+  EXPECT_LE(plan.gir.cap_rounds, 8u);  // log2(longest path ~62) + slack
+  EXPECT_GT(plan.gir.cap_peak_edges, 0u);
 }
 
 TEST(GeneralIrTest, PoolMatchesSequentialExecution) {
@@ -164,9 +161,11 @@ TEST(GeneralIrTest, PoolMatchesSequentialExecution) {
   ModAddMonoid op(1'000'000'007ull);
   std::vector<std::uint64_t> init(250);
   for (auto& v : init) v = rng.below(1000000);
-  GeneralIrOptions options;
+  PlanOptions options = cap();
   options.pool = &pool;
-  EXPECT_EQ(general_ir_parallel(op, sys, init, options),
+  ExecOptions exec;
+  exec.pool = &pool;
+  EXPECT_EQ(execute_plan(compile_plan(sys, options), op, init, exec),
             general_ir_sequential(op, sys, init));
 }
 
@@ -176,7 +175,7 @@ TEST(GeneralIrTest, ExactFibonacciViaBigUintAddition) {
   const std::size_t n = 200;
   const auto sys = fibonacci_system(n);
   std::vector<support::BigUint> init(n, support::BigUint{1});
-  const auto parallel = general_ir_parallel(algebra::BigAddMonoid{}, sys, init);
+  const auto parallel = execute_plan(compile_plan(sys, cap()), algebra::BigAddMonoid{}, init);
   const auto sequential = general_ir_sequential(algebra::BigAddMonoid{}, sys, init);
   EXPECT_EQ(parallel, sequential);
   support::BigUint a{1}, b{1};
@@ -205,18 +204,15 @@ TEST(GeneralIrTest, DeadEquationPruning) {
 
   const auto expect = general_ir_sequential(op, sys, init);
 
-  std::size_t live = 0;
-  GeneralIrOptions pruned;
-  pruned.prune_dead = true;
-  pruned.live_equations = &live;
-  EXPECT_EQ(general_ir_parallel(op, sys, init, pruned), expect);
-  EXPECT_EQ(live, 1u);  // only the final writer survives
+  PlanOptions pruned_options = cap();
+  pruned_options.prune_dead = true;
+  const Plan pruned = compile_plan(sys, pruned_options);
+  EXPECT_EQ(execute_plan(pruned, op, init), expect);
+  EXPECT_EQ(pruned.gir.live_equations, 1u);  // only the final writer survives
 
-  std::size_t all = 0;
-  GeneralIrOptions unpruned;
-  unpruned.live_equations = &all;
-  EXPECT_EQ(general_ir_parallel(op, sys, init, unpruned), expect);
-  EXPECT_EQ(all, 100u);
+  const Plan unpruned = compile_plan(sys, cap());
+  EXPECT_EQ(execute_plan(unpruned, op, init), expect);
+  EXPECT_EQ(unpruned.gir.live_equations, 100u);
 }
 
 TEST(GeneralIrTest, PruningMatchesOnRandomSystems) {
@@ -226,21 +222,19 @@ TEST(GeneralIrTest, PruningMatchesOnRandomSystems) {
     ModMulMonoid op(1'000'000'007ull);
     std::vector<std::uint64_t> init(60);
     for (auto& v : init) v = 1 + rng.below(1'000'000'006ull);
-    std::size_t live = 0;
-    GeneralIrOptions pruned;
-    pruned.prune_dead = true;
-    pruned.live_equations = &live;
-    EXPECT_EQ(general_ir_parallel(op, sys, init, pruned),
-              general_ir_sequential(op, sys, init))
-        << trial;
-    EXPECT_LE(live, sys.iterations());
+    PlanOptions options = cap();
+    options.prune_dead = true;
+    const Plan pruned = compile_plan(sys, options);
+    EXPECT_EQ(execute_plan(pruned, op, init), general_ir_sequential(op, sys, init)) << trial;
+    EXPECT_LE(pruned.gir.live_equations, sys.iterations());
   }
 }
 
 TEST(GeneralIrTest, EmptyAndUntouched) {
   GeneralIrSystem sys{3, {}, {}, {}};
   ModAddMonoid op(97);
-  EXPECT_EQ(general_ir_parallel(op, sys, {1, 2, 3}), (std::vector<std::uint64_t>{1, 2, 3}));
+  EXPECT_EQ(execute_plan(compile_plan(sys, cap()), op, {1, 2, 3}),
+            (std::vector<std::uint64_t>{1, 2, 3}));
 }
 
 // Property sweep over sizes/aliasing/seeds with an exact monoid.
@@ -260,7 +254,7 @@ TEST_P(GeneralIrSweepTest, ParallelEqualsSequentialModMul) {
   ModMulMonoid op(1'000'000'007ull);
   std::vector<std::uint64_t> init(p.cells);
   for (auto& v : init) v = 1 + rng.below(1'000'000'006ull);
-  EXPECT_EQ(general_ir_parallel(op, sys, init), general_ir_sequential(op, sys, init));
+  EXPECT_EQ(execute_plan(compile_plan(sys, cap()), op, init), general_ir_sequential(op, sys, init));
 }
 
 TEST_P(GeneralIrSweepTest, ParallelEqualsSequentialModAdd) {
@@ -270,7 +264,7 @@ TEST_P(GeneralIrSweepTest, ParallelEqualsSequentialModAdd) {
   ModAddMonoid op(999999937ull);
   std::vector<std::uint64_t> init(p.cells);
   for (auto& v : init) v = rng.below(999999937ull);
-  EXPECT_EQ(general_ir_parallel(op, sys, init), general_ir_sequential(op, sys, init));
+  EXPECT_EQ(execute_plan(compile_plan(sys, cap()), op, init), general_ir_sequential(op, sys, init));
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -1,13 +1,11 @@
-// Exercises the deprecated one-shot shims (core/compat.hpp) on purpose;
-// the define keeps -Werror builds green without losing the diagnostic
-// elsewhere.
-#define IR_COMPAT_ALLOW_DEPRECATED
-#include "core/compat.hpp"
-#include "core/ordinary_ir_blocked.hpp"
-
+// The work-efficient blocked plan engine (two-level scheme: block-local
+// sweeps, then a block-ordered fix-up of the cross-block partials), forced
+// through compile_plan with EngineChoice::kBlocked.
 #include <gtest/gtest.h>
 
 #include "algebra/monoids.hpp"
+#include "core/ordinary_ir.hpp"
+#include "testing/plan_options.hpp"
 #include "testing/random_systems.hpp"
 
 namespace ir::core {
@@ -17,6 +15,11 @@ using algebra::AddMonoid;
 using algebra::ConcatMonoid;
 using testing::random_initial_u64;
 using testing::random_ordinary_system;
+
+/// Blocked plan options; blocks = 0 sizes the partition by the pool hint.
+PlanOptions blocked(std::size_t blocks = 0) {
+  return testing::engine_options(EngineChoice::kBlocked, blocks);
+}
 
 /// Kernel-5-style local chain: f(i) = i-1, g(i) = i.
 OrdinaryIrSystem local_chain(std::size_t n) {
@@ -31,10 +34,10 @@ OrdinaryIrSystem local_chain(std::size_t n) {
 
 TEST(BlockedIrTest, EmptyAndSingle) {
   OrdinaryIrSystem empty{3, {}, {}};
-  EXPECT_EQ(ordinary_ir_blocked(AddMonoid<std::uint64_t>{}, empty, {1, 2, 3}),
+  EXPECT_EQ(execute_plan(compile_plan(empty, blocked()), AddMonoid<std::uint64_t>{}, {1, 2, 3}),
             (std::vector<std::uint64_t>{1, 2, 3}));
   OrdinaryIrSystem one{3, {0}, {1}};
-  EXPECT_EQ(ordinary_ir_blocked(AddMonoid<std::uint64_t>{}, one, {1, 2, 3}),
+  EXPECT_EQ(execute_plan(compile_plan(one, blocked()), AddMonoid<std::uint64_t>{}, {1, 2, 3}),
             (std::vector<std::uint64_t>{1, 3, 3}));
 }
 
@@ -46,10 +49,9 @@ TEST(BlockedIrTest, LocalChainIsWorkEfficient) {
   const auto expect = ordinary_ir_sequential(op, sys, init);
 
   BlockedIrStats stats;
-  BlockedIrOptions options;
-  options.blocks = 8;
-  options.stats = &stats;
-  EXPECT_EQ(ordinary_ir_blocked(op, sys, init, options), expect);
+  ExecOptions exec;
+  exec.blocked_stats = &stats;
+  EXPECT_EQ(execute_plan(compile_plan(sys, blocked(8)), op, init, exec), expect);
   EXPECT_EQ(stats.blocks, 8u);
   // Blocks 1..7 are entirely downstream of the cross-block head, so every
   // equation there is partial: 7/8 of n.
@@ -66,10 +68,9 @@ TEST(BlockedIrTest, ScatteredSystemDegradesGracefully) {
   const auto init = random_initial_u64(3000, rng);
   const auto op = AddMonoid<std::uint64_t>{};
   BlockedIrStats stats;
-  BlockedIrOptions options;
-  options.blocks = 16;
-  options.stats = &stats;
-  EXPECT_EQ(ordinary_ir_blocked(op, sys, init, options),
+  ExecOptions exec;
+  exec.blocked_stats = &stats;
+  EXPECT_EQ(execute_plan(compile_plan(sys, blocked(16)), op, init, exec),
             ordinary_ir_sequential(op, sys, init));
   EXPECT_GT(stats.partials, 100u);  // scattered preds cross blocks often
 }
@@ -80,9 +81,8 @@ TEST(BlockedIrTest, NonCommutativeOrderPreserved) {
     const auto sys = random_ordinary_system(120, 200, rng, 0.8);
     std::vector<std::string> init(200);
     for (std::size_t c = 0; c < 200; ++c) init[c] = std::string(1, char('a' + c % 26));
-    BlockedIrOptions options;
-    options.blocks = 1 + static_cast<std::size_t>(trial);
-    EXPECT_EQ(ordinary_ir_blocked(ConcatMonoid{}, sys, init, options),
+    EXPECT_EQ(execute_plan(compile_plan(sys, blocked(1 + static_cast<std::size_t>(trial))),
+                           ConcatMonoid{}, init),
               ordinary_ir_sequential(ConcatMonoid{}, sys, init))
         << "trial " << trial;
   }
@@ -94,10 +94,15 @@ TEST(BlockedIrTest, PooledMatches) {
   const auto init = random_initial_u64(4000, rng);
   const auto op = AddMonoid<std::uint64_t>{};
   parallel::ThreadPool pool(4);
-  BlockedIrOptions options;
-  options.pool = &pool;
-  EXPECT_EQ(ordinary_ir_blocked(op, sys, init, options),
+  PlanOptions options = blocked();
+  options.pool = &pool;  // one block per pool thread
+  ExecOptions exec;
+  exec.pool = &pool;
+  BlockedIrStats stats;
+  exec.blocked_stats = &stats;
+  EXPECT_EQ(execute_plan(compile_plan(sys, options), op, init, exec),
             ordinary_ir_sequential(op, sys, init));
+  EXPECT_EQ(stats.blocks, 4u);
 }
 
 TEST(BlockedIrTest, SingleBlockEqualsSequentialWork) {
@@ -105,11 +110,10 @@ TEST(BlockedIrTest, SingleBlockEqualsSequentialWork) {
   const auto sys = local_chain(n);
   std::vector<std::uint64_t> init(n + 1, 2);
   BlockedIrStats stats;
-  BlockedIrOptions options;
-  options.blocks = 1;
-  options.stats = &stats;
+  ExecOptions exec;
+  exec.blocked_stats = &stats;
   const auto op = AddMonoid<std::uint64_t>{};
-  EXPECT_EQ(ordinary_ir_blocked(op, sys, init, options),
+  EXPECT_EQ(execute_plan(compile_plan(sys, blocked(1)), op, init, exec),
             ordinary_ir_sequential(op, sys, init));
   EXPECT_EQ(stats.partials, 0u);
   EXPECT_EQ(stats.op_applications, n);  // exactly one ⊙ per equation
@@ -133,9 +137,7 @@ TEST_P(BlockedIrSweepTest, MatchesSequential) {
   const auto sys = random_ordinary_system(p.iterations, p.cells, rng, p.rewire);
   const auto init = random_initial_u64(p.cells, rng);
   const auto op = AddMonoid<std::uint64_t>{};
-  BlockedIrOptions options;
-  options.blocks = p.blocks;
-  EXPECT_EQ(ordinary_ir_blocked(op, sys, init, options),
+  EXPECT_EQ(execute_plan(compile_plan(sys, blocked(p.blocks)), op, init),
             ordinary_ir_sequential(op, sys, init));
 }
 

@@ -1,15 +1,14 @@
-// Exercises the deprecated one-shot shims (core/compat.hpp) on purpose;
-// the define keeps -Werror builds green without losing the diagnostic
-// elsewhere.
-#define IR_COMPAT_ALLOW_DEPRECATED
-#include "core/compat.hpp"
-
+// The SPMD plan engine (fork P persistent workers once, barrier per phase),
+// forced through compile_plan with EngineChoice::kSpmd, plus the run_spmd
+// region it runs on.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <type_traits>
 
 #include "algebra/monoids.hpp"
+#include "core/ordinary_ir.hpp"
+#include "testing/plan_options.hpp"
 #include "testing/random_systems.hpp"
 
 namespace ir::core {
@@ -20,12 +19,25 @@ using algebra::ConcatMonoid;
 using testing::random_initial_u64;
 using testing::random_ordinary_system;
 
+/// Compile an SPMD plan for `sys` and run it on `workers` threads.
+template <typename Op>
+std::vector<typename Op::Value> spmd_solve(const Op& op, const OrdinaryIrSystem& sys,
+                                           std::vector<typename Op::Value> init,
+                                           std::size_t workers,
+                                           OrdinaryIrStats* stats = nullptr) {
+  ExecOptions exec;
+  exec.workers = workers;
+  exec.ordinary_stats = stats;
+  return execute_plan(compile_plan(sys, testing::engine_options(EngineChoice::kSpmd)), op,
+                      std::move(init), exec);
+}
+
 TEST(SpmdIrTest, MatchesSequentialSingleWorker) {
   support::SplitMix64 rng(101);
   const auto sys = random_ordinary_system(300, 400, rng, 0.8);
   const auto init = random_initial_u64(400, rng);
   const auto op = AddMonoid<std::uint64_t>{};
-  EXPECT_EQ(ordinary_ir_spmd(op, sys, init, 1), ordinary_ir_sequential(op, sys, init));
+  EXPECT_EQ(spmd_solve(op, sys, init, 1), ordinary_ir_sequential(op, sys, init));
 }
 
 TEST(SpmdIrTest, MatchesSequentialAcrossWorkerCounts) {
@@ -35,7 +47,7 @@ TEST(SpmdIrTest, MatchesSequentialAcrossWorkerCounts) {
   const auto op = AddMonoid<std::uint64_t>{};
   const auto expect = ordinary_ir_sequential(op, sys, init);
   for (std::size_t workers : {2u, 3u, 4u, 7u}) {
-    EXPECT_EQ(ordinary_ir_spmd(op, sys, init, workers), expect) << workers;
+    EXPECT_EQ(spmd_solve(op, sys, init, workers), expect) << workers;
   }
 }
 
@@ -44,7 +56,7 @@ TEST(SpmdIrTest, NonCommutativeOrderPreserved) {
   const auto sys = random_ordinary_system(200, 300, rng, 0.8);
   std::vector<std::string> init(300);
   for (std::size_t c = 0; c < 300; ++c) init[c] = std::string(1, char('a' + c % 26));
-  EXPECT_EQ(ordinary_ir_spmd(ConcatMonoid{}, sys, init, 4),
+  EXPECT_EQ(spmd_solve(ConcatMonoid{}, sys, init, 4),
             ordinary_ir_sequential(ConcatMonoid{}, sys, init));
 }
 
@@ -55,25 +67,26 @@ TEST(SpmdIrTest, RoundsMatchOneLevelEngine) {
   const auto op = AddMonoid<std::uint64_t>{};
 
   OrdinaryIrStats one_level;
-  OrdinaryIrOptions options;
-  options.stats = &one_level;
-  (void)ordinary_ir_parallel(op, sys, init, options);
+  ExecOptions exec;
+  exec.ordinary_stats = &one_level;
+  (void)execute_plan(compile_plan(sys, testing::engine_options(EngineChoice::kJumping)), op, init,
+                     exec);
 
   OrdinaryIrStats spmd;
-  (void)ordinary_ir_spmd(op, sys, init, 3, &spmd);
+  (void)spmd_solve(op, sys, init, 3, &spmd);
   EXPECT_EQ(spmd.rounds, one_level.rounds);
 }
 
 TEST(SpmdIrTest, EmptySystem) {
   OrdinaryIrSystem sys{4, {}, {}};
-  EXPECT_EQ(ordinary_ir_spmd(AddMonoid<std::uint64_t>{}, sys, {9, 8, 7, 6}, 4),
+  EXPECT_EQ(spmd_solve(AddMonoid<std::uint64_t>{}, sys, {9, 8, 7, 6}, 4),
             (std::vector<std::uint64_t>{9, 8, 7, 6}));
 }
 
 TEST(SpmdIrTest, MoreWorkersThanEquations) {
   OrdinaryIrSystem sys{4, {0, 1}, {1, 2}};
   const std::vector<std::uint64_t> init{1, 10, 100, 1000};
-  EXPECT_EQ(ordinary_ir_spmd(AddMonoid<std::uint64_t>{}, sys, init, 16),
+  EXPECT_EQ(spmd_solve(AddMonoid<std::uint64_t>{}, sys, init, 16),
             ordinary_ir_sequential(AddMonoid<std::uint64_t>{}, sys, init));
 }
 

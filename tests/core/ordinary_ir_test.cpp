@@ -1,8 +1,5 @@
-// Exercises the deprecated one-shot shims (core/compat.hpp) on purpose;
-// the define keeps -Werror builds green without losing the diagnostic
-// elsewhere.
-#define IR_COMPAT_ALLOW_DEPRECATED
-#include "core/compat.hpp"
+// The sequential oracle and the pointer-jumping plan engine (paper
+// Section 2), forced through compile_plan with EngineChoice::kJumping.
 #include "core/ordinary_ir.hpp"
 
 #include <gtest/gtest.h>
@@ -10,6 +7,7 @@
 #include <bit>
 
 #include "algebra/monoids.hpp"
+#include "testing/plan_options.hpp"
 #include "testing/random_systems.hpp"
 
 namespace ir::core {
@@ -20,6 +18,8 @@ using algebra::ConcatMonoid;
 using algebra::Mat2Monoid;
 using testing::random_initial_u64;
 using testing::random_ordinary_system;
+
+PlanOptions jumping() { return testing::engine_options(EngineChoice::kJumping); }
 
 TEST(OrdinaryIrSequentialTest, ExecutesLoopAsWritten) {
   // A[1] = A[0]+A[1]; A[2] = A[1]+A[2] with A = {1, 10, 100}.
@@ -36,13 +36,15 @@ TEST(OrdinaryIrSequentialTest, ValidatesInitialSize) {
 
 TEST(OrdinaryIrParallelTest, EmptySystem) {
   OrdinaryIrSystem sys{3, {}, {}};
-  const auto out = ordinary_ir_parallel(AddMonoid<std::uint64_t>{}, sys, {5, 6, 7});
+  const auto out = execute_plan(compile_plan(sys, jumping()), AddMonoid<std::uint64_t>{},
+                                {5, 6, 7});
   EXPECT_EQ(out, (std::vector<std::uint64_t>{5, 6, 7}));
 }
 
 TEST(OrdinaryIrParallelTest, UntouchedCellsKeepInitialValues) {
   OrdinaryIrSystem sys{5, {0}, {2}};
-  const auto out = ordinary_ir_parallel(AddMonoid<std::uint64_t>{}, sys, {1, 2, 3, 4, 5});
+  const auto out = execute_plan(compile_plan(sys, jumping()), AddMonoid<std::uint64_t>{},
+                                {1, 2, 3, 4, 5});
   EXPECT_EQ(out, (std::vector<std::uint64_t>{1, 2, 4, 4, 5}));
 }
 
@@ -58,9 +60,10 @@ TEST(OrdinaryIrParallelTest, SingleChainMatchesAndUsesLogRounds) {
   const auto expect = ordinary_ir_sequential(AddMonoid<std::uint64_t>{}, sys, init);
 
   OrdinaryIrStats stats;
-  OrdinaryIrOptions options;
-  options.stats = &stats;
-  const auto actual = ordinary_ir_parallel(AddMonoid<std::uint64_t>{}, sys, init, options);
+  ExecOptions exec;
+  exec.ordinary_stats = &stats;
+  const auto actual = execute_plan(compile_plan(sys, jumping()), AddMonoid<std::uint64_t>{}, init,
+                                   exec);
   EXPECT_EQ(actual, expect);
   EXPECT_EQ(actual[n], n + 1);  // 1 + n additions of 1
   EXPECT_LE(stats.rounds, static_cast<std::size_t>(std::bit_width(n)));
@@ -76,7 +79,7 @@ TEST(OrdinaryIrParallelTest, NonCommutativeOrderPreserved) {
     std::vector<std::string> init(100);
     for (std::size_t c = 0; c < 100; ++c) init[c] = std::string(1, char('a' + c % 26));
     const auto expect = ordinary_ir_sequential(ConcatMonoid{}, sys, init);
-    const auto actual = ordinary_ir_parallel(ConcatMonoid{}, sys, init);
+    const auto actual = execute_plan(compile_plan(sys, jumping()), ConcatMonoid{}, init);
     EXPECT_EQ(actual, expect) << "trial " << trial;
   }
 }
@@ -90,24 +93,8 @@ TEST(OrdinaryIrParallelTest, NonCommutativeMatricesMatch) {
     m = {static_cast<long>(rng.below(3)), static_cast<long>(rng.below(3)),
          static_cast<long>(rng.below(3)), 1};
   }
-  EXPECT_EQ(ordinary_ir_parallel(op, sys, init), ordinary_ir_sequential(op, sys, init));
-}
-
-TEST(OrdinaryIrParallelTest, EarlyTerminationDoesNotChangeResults) {
-  support::SplitMix64 rng(7);
-  const auto sys = random_ordinary_system(200, 300, rng);
-  const auto init = random_initial_u64(300, rng);
-  OrdinaryIrStats eager_stats, naive_stats;
-  OrdinaryIrOptions eager, naive;
-  eager.stats = &eager_stats;
-  naive.early_termination = false;
-  naive.stats = &naive_stats;
-  const auto op = AddMonoid<std::uint64_t>{};
-  const auto a = ordinary_ir_parallel(op, sys, init, eager);
-  const auto b = ordinary_ir_parallel(op, sys, init, naive);
-  EXPECT_EQ(a, b);
-  EXPECT_EQ(eager_stats.rounds, naive_stats.rounds);
-  EXPECT_LE(eager_stats.op_applications, naive_stats.op_applications);
+  EXPECT_EQ(execute_plan(compile_plan(sys, jumping()), op, init),
+            ordinary_ir_sequential(op, sys, init));
 }
 
 TEST(OrdinaryIrParallelTest, ThreadPoolAndCapsMatch) {
@@ -118,29 +105,32 @@ TEST(OrdinaryIrParallelTest, ThreadPoolAndCapsMatch) {
   const auto expect = ordinary_ir_sequential(op, sys, init);
 
   parallel::ThreadPool pool(4);
+  const Plan plan = compile_plan(sys, jumping());
   for (std::size_t cap : {0u, 1u, 2u, 5u, 64u}) {
-    OrdinaryIrOptions options;
-    options.pool = &pool;
-    options.processor_cap = cap;
-    EXPECT_EQ(ordinary_ir_parallel(op, sys, init, options), expect) << "cap " << cap;
+    ExecOptions exec;
+    exec.pool = &pool;
+    exec.processor_cap = cap;
+    EXPECT_EQ(execute_plan(plan, op, init, exec), expect) << "cap " << cap;
   }
 }
 
 TEST(OrdinaryIrParallelTest, RejectsNonInjectiveG) {
   OrdinaryIrSystem sys{3, {0, 0}, {1, 1}};
-  EXPECT_THROW(ordinary_ir_parallel(AddMonoid<std::uint64_t>{}, sys, {1, 2, 3}),
+  EXPECT_THROW(execute_plan(compile_plan(sys, jumping()), AddMonoid<std::uint64_t>{}, {1, 2, 3}),
                support::ContractViolation);
 }
 
 TEST(OrdinaryIrEngineTest, CustomHooksAreHonoured) {
   // root_value/self_value hooks: roots read 100+cell, self terms are 1000+i.
   OrdinaryIrSystem sys{4, {0, 1}, {1, 2}};
-  const auto traces = ordinary_ir_iteration_values<AddMonoid<std::uint64_t>>(
-      AddMonoid<std::uint64_t>{}, sys,
-      [](std::size_t cell) { return 100 + cell; },
-      [](std::size_t i) { return 1000 + i; });
-  // i0: root -> (100+0) + (1000+0) = 1100; i1: 1100 + 1001 = 2101.
-  EXPECT_EQ(traces, (std::vector<std::uint64_t>{1100, 2101}));
+  for (const EngineChoice engine : {EngineChoice::kJumping, EngineChoice::kBlocked}) {
+    const Plan plan = compile_plan(sys, testing::engine_options(engine));
+    const auto traces = execute_iteration_values<AddMonoid<std::uint64_t>>(
+        plan, AddMonoid<std::uint64_t>{}, [](std::size_t cell) { return 100 + cell; },
+        [](std::size_t i) { return 1000 + i; });
+    // i0: root -> (100+0) + (1000+0) = 1100; i1: 1100 + 1001 = 2101.
+    EXPECT_EQ(traces, (std::vector<std::uint64_t>{1100, 2101})) << to_string(plan.engine);
+  }
 }
 
 // The main property sweep: parallel == sequential across sizes, aliasing
@@ -160,7 +150,8 @@ TEST_P(OrdinaryIrSweepTest, ParallelEqualsSequential) {
   const auto sys = random_ordinary_system(p.iterations, p.cells, rng, p.rewire);
   const auto init = random_initial_u64(p.cells, rng);
   const auto op = AddMonoid<std::uint64_t>{};
-  EXPECT_EQ(ordinary_ir_parallel(op, sys, init), ordinary_ir_sequential(op, sys, init));
+  EXPECT_EQ(execute_plan(compile_plan(sys, jumping()), op, init),
+            ordinary_ir_sequential(op, sys, init));
 }
 
 TEST_P(OrdinaryIrSweepTest, OrderPreservedUnderSweep) {
@@ -173,7 +164,7 @@ TEST_P(OrdinaryIrSweepTest, OrderPreservedUnderSweep) {
     for (std::size_t c = 0; c < p.cells; ++c) {
       init[c] = std::string(1, char('A' + c % 26));
     }
-    EXPECT_EQ(ordinary_ir_parallel(ConcatMonoid{}, sys, init),
+    EXPECT_EQ(execute_plan(compile_plan(sys, jumping()), ConcatMonoid{}, init),
               ordinary_ir_sequential(ConcatMonoid{}, sys, init));
   } else {
     // Large sizes: 2x2 matrix products over Z/2^64 — still non-commutative,
@@ -183,7 +174,8 @@ TEST_P(OrdinaryIrSweepTest, OrderPreservedUnderSweep) {
     for (auto& m : init) {
       m = {rng.below(5), rng.below(5), rng.below(5), rng.below(5)};
     }
-    EXPECT_EQ(ordinary_ir_parallel(op, sys, init), ordinary_ir_sequential(op, sys, init));
+    EXPECT_EQ(execute_plan(compile_plan(sys, jumping()), op, init),
+              ordinary_ir_sequential(op, sys, init));
   }
 }
 

@@ -1,30 +1,30 @@
 // End-to-end scenarios: classify a loop, route it to the right solver, and
 // check the result against direct execution — the workflow a parallelizing
 // compiler built on this library would run.
-// Exercises the deprecated one-shot shims (core/compat.hpp) on purpose;
-// the define keeps -Werror builds green without losing the diagnostic
-// elsewhere.
-#define IR_COMPAT_ALLOW_DEPRECATED
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "algebra/monoids.hpp"
-#include "core/compat.hpp"
 #include "core/classify.hpp"
 #include "core/general_ir.hpp"
 #include "core/linear_ir.hpp"
 #include "core/ordinary_ir.hpp"
+#include "core/plan.hpp"
 #include "scan/linear_recurrence.hpp"
+#include "testing/plan_options.hpp"
 #include "testing/random_systems.hpp"
 
 namespace ir {
 namespace {
 
+using core::EngineChoice;
 using core::GeneralIrSystem;
 using core::LinearIrLoop;
 using core::LoopClass;
 using core::OrdinaryIrSystem;
+using testing::engine_options;
+using testing::plain_cap_options;
 
 TEST(EndToEndTest, ClassifyThenSolveByRoute) {
   support::SplitMix64 rng(71);
@@ -40,14 +40,16 @@ TEST(EndToEndTest, ClassifyThenSolveByRoute) {
       case LoopClass::kNoRecurrence:
       case LoopClass::kLinearRecurrence:
       case LoopClass::kGeneralIndexed:
-        EXPECT_EQ(general_ir_parallel(op, sys, init), expect);
+        EXPECT_EQ(core::execute_plan(core::compile_plan(sys, plain_cap_options()), op, init),
+                  expect);
         break;
       case LoopClass::kOrdinaryIndexed: {
         OrdinaryIrSystem ord;
         ord.cells = sys.cells;
         ord.f = sys.f;
         ord.g = sys.g;
-        EXPECT_EQ(ordinary_ir_parallel(op, ord, init), expect);
+        const auto plan = core::compile_plan(ord, engine_options(EngineChoice::kJumping));
+        EXPECT_EQ(core::execute_plan(plan, op, init), expect);
         break;
       }
     }
@@ -94,7 +96,8 @@ TEST(EndToEndTest, GirSubsumesEverySmallerClass) {
   // Streaming.
   GeneralIrSystem streaming{8, {6, 7}, {0, 1}, {6, 6}};
   ASSERT_EQ(core::classify(streaming), LoopClass::kNoRecurrence);
-  EXPECT_EQ(general_ir_parallel(op, streaming, {1, 2, 3, 4, 5, 6, 7, 8}),
+  EXPECT_EQ(core::execute_plan(core::compile_plan(streaming, plain_cap_options()), op,
+                               {1, 2, 3, 4, 5, 6, 7, 8}),
             general_ir_sequential(op, streaming, {1, 2, 3, 4, 5, 6, 7, 8}));
 
   // Linear chain.
@@ -108,14 +111,16 @@ TEST(EndToEndTest, GirSubsumesEverySmallerClass) {
   ASSERT_EQ(core::classify(chain), LoopClass::kLinearRecurrence);
   std::vector<std::uint64_t> init(32);
   for (auto& v : init) v = rng.below(999999937ull);
-  EXPECT_EQ(general_ir_parallel(op, chain, init), general_ir_sequential(op, chain, init));
+  EXPECT_EQ(core::execute_plan(core::compile_plan(chain, plain_cap_options()), op, init),
+            general_ir_sequential(op, chain, init));
 
   // Ordinary indexed.
   const auto ord = testing::random_ordinary_system(50, 64, rng, 0.9);
   const auto gir = GeneralIrSystem::from_ordinary(ord);
   std::vector<std::uint64_t> init2(64);
   for (auto& v : init2) v = rng.below(999999937ull);
-  EXPECT_EQ(general_ir_parallel(op, gir, init2), general_ir_sequential(op, gir, init2));
+  EXPECT_EQ(core::execute_plan(core::compile_plan(gir, plain_cap_options()), op, init2),
+            general_ir_sequential(op, gir, init2));
 }
 
 TEST(EndToEndTest, DeepChainsStressRoundGuards) {
@@ -131,9 +136,10 @@ TEST(EndToEndTest, DeepChainsStressRoundGuards) {
   std::vector<std::uint64_t> init(n + 1, 1);
   const auto op = algebra::AddMonoid<std::uint64_t>{};
   core::OrdinaryIrStats stats;
-  core::OrdinaryIrOptions options;
-  options.stats = &stats;
-  const auto out = ordinary_ir_parallel(op, sys, init, options);
+  core::ExecOptions exec;
+  exec.ordinary_stats = &stats;
+  const auto plan = core::compile_plan(sys, engine_options(EngineChoice::kJumping));
+  const auto out = core::execute_plan(plan, op, init, exec);
   EXPECT_EQ(out[n], n + 1);
   EXPECT_LE(stats.rounds, 15u);  // ceil(log2 20000) = 15
 }

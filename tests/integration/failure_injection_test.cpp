@@ -1,10 +1,6 @@
 // Failure injection: operators that throw mid-computation.  Solvers must
 // propagate the exception (including across thread-pool and SPMD workers)
 // and leave the runtime reusable afterwards.
-// Exercises the deprecated one-shot shims (core/compat.hpp) on purpose;
-// the define keeps -Werror builds green without losing the diagnostic
-// elsewhere.
-#define IR_COMPAT_ALLOW_DEPRECATED
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -12,12 +8,15 @@
 #include "algebra/monoids.hpp"
 #include "core/general_ir.hpp"
 #include "core/ordinary_ir.hpp"
-#include "core/ordinary_ir_blocked.hpp"
-#include "core/compat.hpp"
+#include "core/plan.hpp"
+#include "testing/plan_options.hpp"
 #include "testing/random_systems.hpp"
 
 namespace ir {
 namespace {
+
+using core::EngineChoice;
+using testing::engine_options;
 
 /// Adds like AddMonoid but throws on the k-th combine() (global count).
 struct FusedMonoid {
@@ -56,42 +55,43 @@ TEST_F(FailureInjectionTest, SequentialPropagates) {
 
 TEST_F(FailureInjectionTest, JumpingPropagatesAndPoolSurvives) {
   parallel::ThreadPool pool(3);
-  core::OrdinaryIrOptions options;
-  options.pool = &pool;
-  EXPECT_THROW((void)core::ordinary_ir_parallel(fused(50), sys, init, options),
-               std::runtime_error);
+  const core::Plan plan = core::compile_plan(sys, engine_options(EngineChoice::kJumping));
+  core::ExecOptions exec;
+  exec.pool = &pool;
+  EXPECT_THROW((void)core::execute_plan(plan, fused(50), init, exec), std::runtime_error);
   // The pool must remain usable: run the real solve afterwards.
   const auto op = algebra::AddMonoid<std::uint64_t>{};
-  EXPECT_EQ(core::ordinary_ir_parallel(op, sys, init, options),
+  EXPECT_EQ(core::execute_plan(plan, op, init, exec),
             core::ordinary_ir_sequential(op, sys, init));
 }
 
 TEST_F(FailureInjectionTest, BlockedPropagates) {
-  core::BlockedIrOptions options;
-  options.blocks = 8;
-  EXPECT_THROW((void)core::ordinary_ir_blocked(fused(50), sys, init, options),
-               std::runtime_error);
+  const core::Plan plan = core::compile_plan(sys, engine_options(EngineChoice::kBlocked, 8));
+  EXPECT_THROW((void)core::execute_plan(plan, fused(50), init), std::runtime_error);
 }
 
 TEST_F(FailureInjectionTest, SpmdPropagatesWithoutDeadlock) {
-  EXPECT_THROW((void)core::ordinary_ir_spmd(fused(50), sys, init, 3),
-               std::runtime_error);
+  const core::Plan plan = core::compile_plan(sys, engine_options(EngineChoice::kSpmd));
+  core::ExecOptions exec;
+  exec.workers = 3;
+  EXPECT_THROW((void)core::execute_plan(plan, fused(50), init, exec), std::runtime_error);
   // And a clean run still works on fresh workers.
   const auto op = algebra::AddMonoid<std::uint64_t>{};
-  EXPECT_EQ(core::ordinary_ir_spmd(op, sys, init, 3),
+  EXPECT_EQ(core::execute_plan(plan, op, init, exec),
             core::ordinary_ir_sequential(op, sys, init));
 }
 
 TEST_F(FailureInjectionTest, GirEvaluationPropagates) {
   const auto gir = core::GeneralIrSystem::from_ordinary(sys);
-  EXPECT_THROW((void)core::general_ir_parallel(fused(20), gir, init),
-               std::runtime_error);
+  const core::Plan plan = core::compile_plan(gir, engine_options(EngineChoice::kGeneralCap));
+  EXPECT_THROW((void)core::execute_plan(plan, fused(20), init), std::runtime_error);
 }
 
 TEST_F(FailureInjectionTest, LateFuseMeansSuccess) {
   // A fuse beyond the total combine count must not fire.
   const auto op = fused(1u << 30);
-  EXPECT_EQ(core::ordinary_ir_parallel(op, sys, init),
+  const core::Plan plan = core::compile_plan(sys, engine_options(EngineChoice::kJumping));
+  EXPECT_EQ(core::execute_plan(plan, op, init),
             core::ordinary_ir_sequential(algebra::AddMonoid<std::uint64_t>{}, sys, init));
 }
 

@@ -2,17 +2,14 @@
 // parallel, PRAM-simulated, thread-pooled, GIR-via-CAP, GIR-via-DP) must
 // agree on the same random systems — the strongest end-to-end statement of
 // the paper's correctness claims this library can execute.
-// Exercises the deprecated one-shot shims (core/compat.hpp) on purpose;
-// the define keeps -Werror builds green without losing the diagnostic
-// elsewhere.
-#define IR_COMPAT_ALLOW_DEPRECATED
 #include <gtest/gtest.h>
 
 #include "algebra/monoids.hpp"
-#include "core/compat.hpp"
 #include "core/general_ir.hpp"
 #include "core/ordinary_ir.hpp"
 #include "core/ordinary_ir_pram.hpp"
+#include "core/plan.hpp"
+#include "testing/plan_options.hpp"
 #include "testing/random_systems.hpp"
 
 namespace ir {
@@ -20,9 +17,12 @@ namespace {
 
 using algebra::AddMonoid;
 using algebra::ModMulMonoid;
-using core::GeneralIrOptions;
+using core::EngineChoice;
+using core::ExecOptions;
 using core::GeneralIrSystem;
-using core::OrdinaryIrOptions;
+using core::PlanOptions;
+using testing::engine_options;
+using testing::plain_cap_options;
 
 struct IntegrationParam {
   std::size_t iterations;
@@ -43,14 +43,15 @@ TEST_P(AllRoutesAgreeTest, OrdinaryRoutes) {
   const auto sequential = ordinary_ir_sequential(op, sys, init);
 
   // Host parallel (no pool).
-  EXPECT_EQ(ordinary_ir_parallel(op, sys, init), sequential);
+  const PlanOptions jumping = engine_options(EngineChoice::kJumping);
+  EXPECT_EQ(core::execute_plan(core::compile_plan(sys, jumping), op, init), sequential);
 
   // Host parallel, pooled and capped.
   parallel::ThreadPool pool(3);
-  OrdinaryIrOptions pooled;
+  ExecOptions pooled;
   pooled.pool = &pool;
   pooled.processor_cap = 2;
-  EXPECT_EQ(ordinary_ir_parallel(op, sys, init, pooled), sequential);
+  EXPECT_EQ(core::execute_plan(core::compile_plan(sys, jumping), op, init, pooled), sequential);
 
   // PRAM-simulated, audited CREW.
   pram::Machine machine(5, pram::AccessMode::kCrew);
@@ -62,7 +63,7 @@ TEST_P(AllRoutesAgreeTest, OrdinaryRoutes) {
 
   // GIR embedding (h := g) through CAP.
   const auto gir = GeneralIrSystem::from_ordinary(sys);
-  EXPECT_EQ(general_ir_parallel(op, gir, init), sequential);
+  EXPECT_EQ(core::execute_plan(core::compile_plan(gir, plain_cap_options()), op, init), sequential);
 }
 
 TEST_P(AllRoutesAgreeTest, GeneralRoutes) {
@@ -74,17 +75,19 @@ TEST_P(AllRoutesAgreeTest, GeneralRoutes) {
   for (auto& v : init) v = 1 + rng.below(1'000'000'006ull);
 
   const auto sequential = general_ir_sequential(op, sys, init);
-  EXPECT_EQ(general_ir_parallel(op, sys, init), sequential);
+  EXPECT_EQ(core::execute_plan(core::compile_plan(sys, plain_cap_options()), op, init), sequential);
 
-  GeneralIrOptions dp;
+  PlanOptions dp = plain_cap_options();
   dp.reference_counts = true;
-  EXPECT_EQ(general_ir_parallel(op, sys, init, dp), sequential);
+  EXPECT_EQ(core::execute_plan(core::compile_plan(sys, dp), op, init), sequential);
 
   parallel::ThreadPool pool(3);
-  GeneralIrOptions pooled;
+  PlanOptions pooled = plain_cap_options();
   pooled.pool = &pool;
   pooled.coalesce_each_round = false;
-  EXPECT_EQ(general_ir_parallel(op, sys, init, pooled), sequential);
+  ExecOptions exec;
+  exec.pool = &pool;
+  EXPECT_EQ(core::execute_plan(core::compile_plan(sys, pooled), op, init, exec), sequential);
 }
 
 INSTANTIATE_TEST_SUITE_P(

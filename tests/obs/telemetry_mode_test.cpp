@@ -3,15 +3,11 @@
 // (and its solver smoke test must pass) in BOTH configurations — the
 // telemetry-OFF ctest run in tools/verify.sh is what exercises the other
 // branch of each #if below.
-// Exercises the deprecated one-shot shims (core/compat.hpp) on purpose;
-// the define keeps -Werror builds green without losing the diagnostic
-// elsewhere.
-#define IR_COMPAT_ALLOW_DEPRECATED
 #include <gtest/gtest.h>
 
 #include "algebra/monoids.hpp"
-#include "core/compat.hpp"
 #include "core/ordinary_ir.hpp"
+#include "core/plan.hpp"
 #include "obs/registry.hpp"
 #include "obs/span.hpp"
 #include "obs/telemetry.hpp"
@@ -76,10 +72,12 @@ TEST(TelemetryMode, InstrumentedSolverRunsInEitherMode) {
   std::vector<std::uint64_t> init(sys.cells, 1);
   init[0] = 3;
   const auto op = algebra::AddMonoid<std::uint64_t>{};
+  core::PlanOptions plan_options;
+  plan_options.engine = core::EngineChoice::kJumping;
   core::OrdinaryIrStats stats;
-  core::OrdinaryIrOptions options;
-  options.stats = &stats;
-  const auto out = core::ordinary_ir_parallel(op, sys, init, options);
+  core::ExecOptions exec;
+  exec.ordinary_stats = &stats;
+  const auto out = core::execute_plan(core::compile_plan(sys, plan_options), op, init, exec);
   EXPECT_EQ(out, core::ordinary_ir_sequential(op, sys, init));
   EXPECT_GT(stats.rounds, 0u);  // OrdinaryIrStats works regardless of the flag
 }
