@@ -22,8 +22,7 @@ int main() {
   parallel::ThreadPool pool(parallel::ThreadPool::default_threads());
 
   support::TextTable table;
-  table.set_header(
-      {"rows", "seq ms", "IR ms", "segscan ms", "rounds", "max err", "match"});
+  table.set_header({"rows", "seq ms", "IR ms", "rounds", "max err", "match"});
 
   for (std::size_t scale : {1u, 4u, 16u, 64u}) {
     auto seq = livermore::Workspace::standard(1997);
@@ -38,7 +37,6 @@ int main() {
     par.zz = seq.zz;
     seq.y.resize(kn + 2, 0.3);
     par.y = seq.y;
-    auto seg = seq;
 
     support::Stopwatch watch;
     livermore::kernel23_paper_fragment(seq);
@@ -51,18 +49,13 @@ int main() {
     livermore::kernel23_fragment_parallel(par, options);
     const double par_ms = watch.lap() * 1e3;
 
-    livermore::kernel23_fragment_segmented(seg, &pool);
-    const double seg_ms = watch.lap() * 1e3;
-
     double max_err = 0.0;
     for (std::size_t i = 0; i < seq.za.data().size(); ++i) {
       max_err = std::max(max_err, std::fabs(seq.za.data()[i] - par.za.data()[i]));
-      max_err = std::max(max_err, std::fabs(seq.za.data()[i] - seg.za.data()[i]));
     }
     table.add_row({std::to_string(kn), support::fmt_f(seq_ms, 3),
-                   support::fmt_f(par_ms, 3), support::fmt_f(seg_ms, 3),
-                   std::to_string(stats.rounds), support::fmt_g(max_err, 2),
-                   max_err < 1e-6 ? "yes" : "NO"});
+                   support::fmt_f(par_ms, 3), std::to_string(stats.rounds),
+                   support::fmt_g(max_err, 2), max_err < 1e-6 ? "yes" : "NO"});
   }
   std::printf("%s\n", table.render().c_str());
   std::printf("rounds grow as log(rows): the paper's 'calculated in O(log n) steps'\n");

@@ -6,8 +6,8 @@
 // Series:
 //   BM_OrdinarySequential / BM_OrdinaryParallel(threads) — random ordinary
 //     systems across n.
-//   BM_LinearSequential / BM_LinearScan / BM_LinearMoebius — kernel-5-shaped
-//     chains: direct loop vs classic scan vs the Möbius route.
+//   BM_LinearSequential / BM_LinearMoebius — kernel-5-shaped chains: the
+//     loop as written (core::linear_ir_sequential) vs the Möbius route.
 //
 // Machine-readable output: `bench_speedup_threads --metrics=FILE` (custom
 // main below) dumps the telemetry registry — rounds, op applications,
@@ -25,7 +25,6 @@
 #include "core/linear_ir.hpp"
 #include "core/plan.hpp"
 #include "obs/metrics_export.hpp"
-#include "scan/linear_recurrence.hpp"
 #include "testing_workloads.hpp"
 
 namespace {
@@ -115,51 +114,41 @@ void BM_OrdinarySpmd(benchmark::State& state) {
 }
 BENCHMARK(BM_OrdinarySpmd)->Args({1000000, 2})->Args({1000000, 4});
 
+/// A kernel-5-shaped chain x[i+1] = a[i]·x[i] + b[i] as a LinearIrLoop.
 struct ChainFixture {
-  std::vector<double> a, b;
+  core::LinearIrLoop loop;
+  std::vector<double> init;
 
-  explicit ChainFixture(std::size_t n) : a(n), b(n) {
+  explicit ChainFixture(std::size_t n) : init(n + 1, 0.0) {
     support::SplitMix64 rng(n + 13);
-    for (auto& e : a) e = rng.uniform(-0.9, 0.9);
-    for (auto& e : b) e = rng.uniform(-1.0, 1.0);
+    loop.system.cells = n + 1;
+    for (std::size_t i = 0; i < n; ++i) {
+      loop.system.f.push_back(i);
+      loop.system.g.push_back(i + 1);
+    }
+    loop.mul.resize(n);
+    loop.add.resize(n);
+    for (auto& e : loop.mul) e = rng.uniform(-0.9, 0.9);
+    for (auto& e : loop.add) e = rng.uniform(-1.0, 1.0);
+    init[0] = 0.5;
   }
 };
 
 void BM_LinearSequential(benchmark::State& state) {
   const ChainFixture fx(static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(scan::linear_recurrence_sequential(fx.a, fx.b, 0.5));
+    benchmark::DoNotOptimize(core::linear_ir_sequential(fx.loop, fx.init));
   }
 }
 BENCHMARK(BM_LinearSequential)->Arg(100000)->Arg(1000000);
 
-void BM_LinearScan(benchmark::State& state) {
-  const ChainFixture fx(static_cast<std::size_t>(state.range(0)));
-  parallel::ThreadPool pool(static_cast<std::size_t>(state.range(1)));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(scan::linear_recurrence_scan(fx.a, fx.b, 0.5, &pool));
-  }
-}
-BENCHMARK(BM_LinearScan)->Args({1000000, 2})->Args({1000000, 4})->Args({1000000, 8});
-
 void BM_LinearMoebius(benchmark::State& state) {
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  const ChainFixture fx(n);
-  core::LinearIrLoop loop;
-  loop.system.cells = n + 1;
-  for (std::size_t i = 0; i < n; ++i) {
-    loop.system.f.push_back(i);
-    loop.system.g.push_back(i + 1);
-  }
-  loop.mul = fx.a;
-  loop.add = fx.b;
-  std::vector<double> init(n + 1, 0.0);
-  init[0] = 0.5;
+  const ChainFixture fx(static_cast<std::size_t>(state.range(0)));
   parallel::ThreadPool pool(static_cast<std::size_t>(state.range(1)));
   core::OrdinaryIrOptions options;
   options.pool = &pool;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(core::linear_ir_parallel(loop, init, options));
+    benchmark::DoNotOptimize(core::linear_ir_parallel(fx.loop, fx.init, options));
   }
 }
 BENCHMARK(BM_LinearMoebius)->Args({1000000, 2})->Args({1000000, 4})->Args({1000000, 8});

@@ -40,7 +40,6 @@
 #include "obs/telemetry.hpp"
 #include "parallel/parallel_for.hpp"
 #include "parallel/spmd.hpp"
-#include "scan/segmented_scan.hpp"
 #include "support/bigint.hpp"
 #include "support/contract.hpp"
 
@@ -51,8 +50,8 @@ inline constexpr std::uint32_t kNoIndex32 = 0xFFFFFFFFu;
 
 /// The engine a plan was compiled for.  kScan is the chain fast route:
 /// ordinary-shaped systems whose pred forest is pure f(i) = i-1 chains are
-/// detected at compile time and replayed as an O(n) sequential segmented
-/// scan (src/scan/) instead of O(n log n) pointer jumping.
+/// detected at compile time and replayed as an O(n) left-to-right segmented
+/// fold (execute_scan_values) instead of O(n log n) pointer jumping.
 enum class PlanEngine { kElementwise, kJumping, kBlocked, kSpmd, kGeneralCap, kScan };
 
 [[nodiscard]] std::string to_string(PlanEngine engine);
@@ -485,7 +484,10 @@ std::vector<typename Op::Value> execute_scan_values(
   // so it is bit-identical for ANY op — a Kogge-Stone segmented scan would
   // reassociate.  It is also O(n) work versus jumping's O(n log n) moves;
   // the pool is deliberately ignored (the fold is the critical path).
-  scan::segmented_inclusive_scan_sequential(op, val, ss.head);
+  IR_REQUIRE(ss.head.size() == n, "one head flag per iteration");
+  for (std::size_t i = 1; i < n; ++i) {
+    if (ss.head[i] == 0) val[i] = op.combine(val[i - 1], val[i]);
+  }
 
   IR_COUNTER_ADD("scan.solves", 1);
   IR_COUNTER_ADD("scan.op_applications", n);

@@ -10,9 +10,6 @@
 #include "core/linear_ir.hpp"
 #include "core/plan.hpp"
 #include "parallel/parallel_for.hpp"
-#include "scan/linear_recurrence.hpp"
-#include "scan/prefix_scan.hpp"
-#include "scan/segmented_scan.hpp"
 
 namespace ir::livermore {
 
@@ -28,15 +25,6 @@ double checksum(const std::vector<double>& v, std::size_t count) {
   for (std::size_t i = 0; i < count && i < v.size(); ++i) sum += v[i];
   return sum;
 }
-
-/// combine(earlier, later) = apply earlier first (affine map composition).
-struct AffineCompose {
-  using Value = scan::AffinePair;
-  static constexpr bool is_commutative = false;
-  Value combine(const Value& earlier, const Value& later) const {
-    return {later.coeff * earlier.coeff, later.coeff * earlier.offset + later.offset};
-  }
-};
 
 /// A contiguous first-order chain cell[k+1] = mul[k]·cell[k] + add[k] as a
 /// LinearIrLoop over `steps`+1 virtual cells; returns every chain value.
@@ -110,14 +98,6 @@ double kernel11_parallel(Workspace& ws, const OrdinaryIrOptions& options) {
   return checksum(ws.x, n);
 }
 
-double kernel11_scan(Workspace& ws, parallel::ThreadPool* pool) {
-  const std::size_t n = ws.loop_n;
-  std::vector<double> x(ws.y.begin(), ws.y.begin() + static_cast<std::ptrdiff_t>(n));
-  scan::inclusive_scan_kogge_stone(algebra::AddMonoid<double>{}, x, pool);
-  std::copy(x.begin(), x.end(), ws.x.begin());
-  return checksum(ws.x, n);
-}
-
 double kernel19_parallel(Workspace& ws, const OrdinaryIrOptions& options) {
   const std::size_t n = ws.loop_n;
   // Both sweeps carry only the scalar stb5:
@@ -159,37 +139,6 @@ double kernel23_fragment_parallel(Workspace& ws, const OrdinaryIrOptions& option
   }
   ws.za.data() = core::self_linear_ir_parallel(loop, std::move(ws.za.data()), options);
   return std::accumulate(ws.za.data().begin(), ws.za.data().end(), 0.0);
-}
-
-double kernel23_fragment_segmented(Workspace& ws, parallel::ThreadPool* pool) {
-  const std::size_t kn = ws.loop_2d, jn = 7;
-  // Per-column affine chains:
-  //   za(k,j) = (dk*zz(k,j)) * za(k-1,j) + (za0(k,j) + dk*y[k])
-  // where za0 is the pre-loop value of za(k,j) (read only by its own
-  // equation, g injective).  One scan element per (j, k) in column-major
-  // order, one segment head per column.
-  std::vector<scan::AffinePair> maps;
-  std::vector<bool> heads;
-  maps.reserve((jn - 1) * (kn - 1));
-  heads.reserve(maps.capacity());
-  for (std::size_t j = 1; j < jn; ++j) {
-    for (std::size_t k = 1; k < kn; ++k) {
-      maps.push_back(scan::AffinePair{ws.dk * ws.zz.at(k, j),
-                                      ws.za.at(k, j) + ws.dk * ws.y[k]});
-      heads.push_back(k == 1);
-    }
-  }
-  scan::segmented_inclusive_scan(AffineCompose{}, maps, heads, pool);
-  double total = 0.0;
-  std::size_t e = 0;
-  for (std::size_t j = 1; j < jn; ++j) {
-    const double x0 = ws.za.at(0, j);
-    for (std::size_t k = 1; k < kn; ++k, ++e) {
-      ws.za.at(k, j) = maps[e].coeff * x0 + maps[e].offset;
-    }
-  }
-  for (const double v : ws.za.data()) total += v;
-  return total;
 }
 
 double kernel13_parallel(Workspace& ws, parallel::ThreadPool* pool) {
@@ -281,13 +230,24 @@ double kernel21_parallel(Workspace& ws, const OrdinaryIrOptions& options) {
   return total;
 }
 
-double kernel24_parallel(Workspace& ws, parallel::ThreadPool* pool) {
+OrdinaryIrSystem kernel24_chain(std::size_t n) {
+  OrdinaryIrSystem sys;
+  sys.cells = n;
+  for (std::size_t k = 1; k < n; ++k) {
+    sys.f.push_back(k - 1);
+    sys.g.push_back(k);
+  }
+  return sys;
+}
+
+double kernel24_parallel(Workspace& ws) {
   const std::size_t n = ws.loop_n;
   using Op = algebra::ArgMinMonoid<double>;
-  std::vector<Op::Value> pairs(n);
-  for (std::size_t k = 0; k < n; ++k) pairs[k] = Op::Value{ws.x[k], k};
-  scan::inclusive_scan_kogge_stone(Op{}, pairs, pool);
-  return static_cast<double>(pairs.back().index);
+  std::vector<Op::Value> init(n);
+  for (std::size_t k = 0; k < n; ++k) init[k] = Op::Value{ws.x[k], k};
+  const core::Plan plan = core::compile_plan(kernel24_chain(n));
+  const auto out = core::execute_plan(plan, Op{}, std::move(init));
+  return static_cast<double>(out.back().index);
 }
 
 double kernel14_parallel(Workspace& ws, parallel::ThreadPool* pool) {

@@ -6,7 +6,7 @@
 //
 //   kernel 3   inner product        -> Möbius chain over a virtual q-cell
 //   kernel 5   tri-diagonal         -> LinearIrLoop (x[i] = -z·x[i-1] + z·y)
-//   kernel 11  first sum            -> LinearIrLoop (and a scan baseline)
+//   kernel 11  first sum            -> LinearIrLoop
 //   kernel 19  linear recurrence    -> LinearIrLoop over the carried stb5
 //   kernel 23  2-D implicit hydro   -> SelfLinearIrLoop on the paper's
 //                                      fragment (Section 3's worked example)
@@ -14,6 +14,7 @@
 //                                      is embarrassingly parallel; the
 //                                      histogram scatter becomes a
 //                                      non-distinct-g GIR with op = +
+//   kernel 24  first minimum        -> ordinary chain with op = ArgMin
 //
 // Every function takes the same workspace the sequential kernel takes and
 // must produce identical results (tests compare element-wise, allowing only
@@ -34,10 +35,6 @@ double kernel05_parallel(Workspace& ws, const core::OrdinaryIrOptions& options =
 /// Kernel 11 (first sum) through the Möbius route.
 double kernel11_parallel(Workspace& ws, const core::OrdinaryIrOptions& options = {});
 
-/// Kernel 11 through the classic Kogge-Stone scan (the baseline the paper's
-/// references [2][4] correspond to).
-double kernel11_scan(Workspace& ws, parallel::ThreadPool* pool = nullptr);
-
 /// Kernel 19 (general linear recurrence, both sweeps) through the Möbius
 /// route on the carried scalar chain.
 double kernel19_parallel(Workspace& ws, const core::OrdinaryIrOptions& options = {});
@@ -47,11 +44,6 @@ double kernel19_parallel(Workspace& ws, const core::OrdinaryIrOptions& options =
 /// analysis techniques, we managed to parallelize the loop").
 double kernel23_fragment_parallel(Workspace& ws,
                                   const core::OrdinaryIrOptions& options = {});
-
-/// The same fragment through the classic SEGMENTED scan (one segment per
-/// column of affine maps) — the baseline the IR route subsumes; provided so
-/// the bench can compare the two mechanically.
-double kernel23_fragment_segmented(Workspace& ws, parallel::ThreadPool* pool = nullptr);
 
 /// Kernel 13 (2-D PIC): parallel particle push, then the histogram
 /// deposition as a general IR with repeated writes (non-distinct g).
@@ -63,9 +55,14 @@ double kernel13_parallel(Workspace& ws, parallel::ThreadPool* pool = nullptr);
 /// classification made constructive).
 double kernel21_parallel(Workspace& ws, const core::OrdinaryIrOptions& options = {});
 
-/// Kernel 24 (first-minimum location) as an ArgMin reduction — commutative
-/// and idempotent, so it runs through the scan machinery.
-double kernel24_parallel(Workspace& ws, parallel::ThreadPool* pool = nullptr);
+/// The ordinary-IR chain behind kernel 24: A[k] := A[k-1] ⊙ A[k] for
+/// k = 1..n-1 over n cells.
+core::OrdinaryIrSystem kernel24_chain(std::size_t n);
+
+/// Kernel 24 (first-minimum location): kernel24_chain with ⊙ = ArgMin, which
+/// keeps the earlier index on a tie.  kAuto routes the chain to the kScan
+/// fold.
+double kernel24_parallel(Workspace& ws);
 
 /// Kernel 14 (1-D PIC): the two per-particle phases run as parallel loops;
 /// the weighted charge deposition (rh[ir[k]] += w, rh[ir[k]+1] += w') is

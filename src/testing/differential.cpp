@@ -263,11 +263,6 @@ DifferentialReport run_differential(const GeneralIrSystem& sys,
       return core::execute_plan(core::compile_plan(sys, plan_options), op, init, exec);
     });
   }
-  check_leg(report, "plan-gir-forced", oracle, [&] {
-    PlanOptions plan_options;
-    plan_options.engine = EngineChoice::kGeneralCap;
-    return core::execute_plan(core::compile_plan(sys, plan_options), op, init);
-  });
 
   // Export -> import -> execute across the general routes: the router's pick
   // and the forced GIR schedule (arbitrary-precision exponents included)

@@ -38,6 +38,29 @@ OrdinaryIrSystem two_segments() {
   return sys;
 }
 
+/// A random chain-structured system whose chains are scattered over memory:
+/// g is a random injection, a continuing iteration reads the cell its
+/// predecessor wrote, and a head (probability `head_chance`) reads one of
+/// the cells no iteration writes.
+OrdinaryIrSystem random_scattered_chains(std::size_t n, double head_chance,
+                                         support::SplitMix64& rng) {
+  OrdinaryIrSystem sys;
+  sys.cells = n + n / 4 + 1;
+  sys.g = support::random_injection(n, sys.cells, rng);
+  std::vector<bool> written(sys.cells, false);
+  for (const std::size_t c : sys.g) written[c] = true;
+  std::vector<std::size_t> read_only;
+  for (std::size_t c = 0; c < sys.cells; ++c) {
+    if (!written[c]) read_only.push_back(c);
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    sys.f.push_back(i == 0 || rng.chance(head_chance)
+                        ? read_only[rng.below(read_only.size())]
+                        : sys.g[i - 1]);
+  }
+  return sys;
+}
+
 TEST(ScanRouteTest, AutoRoutesChainsToTheScanEngine) {
   const Plan plan = compile_plan(single_chain(100));
   EXPECT_EQ(plan.engine, PlanEngine::kScan);
@@ -148,6 +171,35 @@ TEST(ScanRouteTest, CacheKeySeparatesScanFromOtherRoutes) {
   if (plan.engine != PlanEngine::kScan) {
     EXPECT_NE(plan_cache_key(ord, PlanOptions{}), plan_cache_key(ord, scan_forced));
   }
+}
+
+// The kScan fold's segment semantics, checked through compiled plans.
+
+TEST(SegmentedScanTest, RandomSegmentsMatchReference) {
+  // Many segments scattered over memory, under a non-commutative op: any
+  // reordering within a segment or leak across a head changes the bytes.
+  support::SplitMix64 rng(62);
+  const ConcatMonoid cat;
+  for (int trial = 0; trial < 12; ++trial) {
+    const std::size_t n = 50 + rng.below(400);
+    const auto sys = random_scattered_chains(n, trial % 2 == 0 ? 0.15 : 0.5, rng);
+    const Plan plan = compile_plan(sys);
+    ASSERT_EQ(plan.engine, PlanEngine::kScan) << "trial " << trial;
+    EXPECT_GT(plan.scan.segments, 1u) << "trial " << trial;
+    std::vector<std::string> labels;
+    for (std::size_t c = 0; c < sys.cells; ++c) labels.push_back(std::to_string(c) + ",");
+    EXPECT_EQ(execute_plan(plan, cat, labels), ordinary_ir_sequential(cat, sys, labels))
+        << "trial " << trial;
+  }
+}
+
+TEST(SegmentedScanTest, FlagSizeMismatchRejected) {
+  Plan plan = compile_plan(single_chain(8));
+  ASSERT_EQ(plan.engine, PlanEngine::kScan);
+  plan.scan.head = std::vector<std::uint8_t>(7, 0);
+  const std::vector<std::uint64_t> init(9, 1);
+  EXPECT_THROW((void)execute_plan(plan, AddMonoid<std::uint64_t>{}, init),
+               support::ContractViolation);
 }
 
 }  // namespace

@@ -11,7 +11,6 @@
 #include "core/linear_ir.hpp"
 #include "core/ordinary_ir.hpp"
 #include "core/plan.hpp"
-#include "scan/linear_recurrence.hpp"
 #include "testing/plan_options.hpp"
 #include "testing/random_systems.hpp"
 
@@ -56,35 +55,25 @@ TEST(EndToEndTest, ClassifyThenSolveByRoute) {
   }
 }
 
-TEST(EndToEndTest, ScanAndMoebiusAgreeOnLinearRecurrence) {
-  // The same first-order recurrence solved three ways: direct loop, classic
-  // pair scan (Kogge/Stone), and the paper's Möbius IR route.
+TEST(EndToEndTest, MoebiusMatchesLoopOnLinearRecurrence) {
+  // One first-order recurrence x[i+1] = a[i]·x[i] + b[i] solved two ways:
+  // the loop as written and the paper's Möbius IR route.
   support::SplitMix64 rng(72);
   const std::size_t n = 800;
-  std::vector<double> a(n), b(n);
-  for (auto& e : a) e = rng.uniform(-0.9, 0.9);
-  for (auto& e : b) e = rng.uniform(-1.0, 1.0);
-  const double x0 = 0.25;
-
-  const auto direct = scan::linear_recurrence_sequential(a, b, x0);
-  const auto scanned = scan::linear_recurrence_scan(a, b, x0);
-
   LinearIrLoop loop;
   loop.system.cells = n + 1;
   for (std::size_t i = 0; i < n; ++i) {
     loop.system.f.push_back(i);
     loop.system.g.push_back(i + 1);
+    loop.mul.push_back(rng.uniform(-0.9, 0.9));
+    loop.add.push_back(rng.uniform(-1.0, 1.0));
   }
-  loop.mul = a;
-  loop.add = b;
   std::vector<double> init(n + 1, 0.0);
-  init[0] = x0;
-  const auto moebius = core::linear_ir_parallel(loop, init);
+  init[0] = 0.25;
 
-  for (std::size_t i = 0; i < n; ++i) {
-    EXPECT_NEAR(scanned[i], direct[i], 1e-9) << i;
-    EXPECT_NEAR(moebius[i + 1], direct[i], 1e-9) << i;
-  }
+  const auto direct = core::linear_ir_sequential(loop, init);
+  const auto moebius = core::linear_ir_parallel(loop, init);
+  for (std::size_t i = 0; i <= n; ++i) EXPECT_NEAR(moebius[i], direct[i], 1e-9) << i;
 }
 
 TEST(EndToEndTest, GirSubsumesEverySmallerClass) {

@@ -4,6 +4,7 @@
 
 #include <cmath>
 
+#include "core/plan.hpp"
 #include "livermore/kernels.hpp"
 
 namespace ir::livermore {
@@ -37,12 +38,9 @@ TEST(LivermoreParallelTest, Kernel5TridiagonalMatches) {
 TEST(LivermoreParallelTest, Kernel11FirstSumMatches) {
   auto seq = Workspace::standard(102);
   auto par = Workspace::standard(102);
-  auto scn = Workspace::standard(102);
   kernel11_first_sum(seq);
   kernel11_parallel(par);
-  kernel11_scan(scn);
   expect_near(par.x, seq.x, seq.loop_n, 1e-9);
-  expect_near(scn.x, seq.x, seq.loop_n, 1e-9);
 }
 
 TEST(LivermoreParallelTest, Kernel19LinearRecurrenceMatches) {
@@ -71,22 +69,6 @@ TEST(LivermoreParallelTest, Kernel23FragmentMatchesWithPool) {
   kernel23_paper_fragment(seq);
   kernel23_fragment_parallel(par, options);
   expect_near(par.za.data(), seq.za.data(), seq.za.data().size(), 1e-8);
-}
-
-TEST(LivermoreParallelTest, Kernel23SegmentedScanMatches) {
-  auto seq = Workspace::standard(115);
-  auto par = Workspace::standard(115);
-  kernel23_paper_fragment(seq);
-  kernel23_fragment_segmented(par);
-  expect_near(par.za.data(), seq.za.data(), seq.za.data().size(), 1e-8);
-}
-
-TEST(LivermoreParallelTest, Kernel23ThreeRoutesAgree) {
-  auto moebius = Workspace::standard(116);
-  auto segmented = Workspace::standard(116);
-  kernel23_fragment_parallel(moebius);
-  kernel23_fragment_segmented(segmented);
-  expect_near(moebius.za.data(), segmented.za.data(), segmented.za.data().size(), 1e-8);
 }
 
 TEST(LivermoreParallelTest, Kernel13PicMatchesExactly) {
@@ -160,6 +142,8 @@ TEST(LivermoreParallelTest, Kernel24ArgMinMatches) {
   auto par3 = seq3;
   EXPECT_EQ(kernel24_parallel(par3), 100.0);
   EXPECT_EQ(kernel24_first_min(seq3), 100.0);
+  // kAuto puts the chain on the kScan fold.
+  EXPECT_EQ(core::compile_plan(kernel24_chain(par3.loop_n)).engine, core::PlanEngine::kScan);
 }
 
 TEST(LivermoreParallelTest, ScaledWorkspacesStillMatch) {

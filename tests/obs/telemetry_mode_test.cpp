@@ -25,7 +25,9 @@ TEST(TelemetryMode, CounterMacroRespectsBuildFlag) {
 #if IR_TELEMETRY_ENABLED
   EXPECT_EQ(after - before, 5u);
 #else
-  EXPECT_EQ(after, 0u);  // macro was a no-op; metric never even registered
+  // The macro was a no-op, so the metric was never even registered.
+  EXPECT_EQ(before, 0u);
+  EXPECT_EQ(after, 0u);
 #endif
 }
 
