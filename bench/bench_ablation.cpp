@@ -4,10 +4,11 @@
 //          rounds (the paper's requirement) vs visiting all n each round.
 //          Metric: ⊙ applications.  Plans always terminate early; the naive
 //          count is the closed form seed_ops + rounds·n of the same jumping
-//          schedule (the PRAM simulator runs the naive variant itself).
+//          schedule.
 //   ABL-2  processor cap: the paper's "fork only up to P processes"
-//          T(n,P) = (n/P)·log n sweep on the PRAM simulator, P up to n —
-//          showing where extra processors stop helping (P > peak width).
+//          T(n,P) = (n/P)·log n sweep of the jumping plan replayed on the
+//          PRAM simulator, P up to n — showing where extra processors stop
+//          helping (P > peak width).
 //   ABL-3  CAP vs reverse-topological DP for GIR path counting: same
 //          answers; the DP is work-efficient but sequential, CAP pays
 //          edge blowup for O(log) depth.  Metric: wall time + peak edges.
@@ -23,8 +24,8 @@
 #include "algebra/monoids.hpp"
 #include "core/general_ir.hpp"
 #include "core/ordinary_ir.hpp"
-#include "core/ordinary_ir_pram.hpp"
 #include "core/plan.hpp"
+#include "core/pram_replay.hpp"
 #include "support/table.hpp"
 #include "support/timer.hpp"
 #include "testing_workloads.hpp"
@@ -71,9 +72,12 @@ void ablation_processor_cap() {
   const auto op = algebra::AddMonoid<std::uint64_t>{};
   support::TextTable table;
   table.set_header({"P", "simulated time", "time * P / (n log n)"});
+  core::PlanOptions jumping;
+  jumping.engine = core::EngineChoice::kJumping;
+  const core::Plan plan = core::compile_plan(sys, jumping);
   for (std::size_t p = 1; p <= 65536; p *= 8) {
     pram::Machine machine(p, pram::AccessMode::kCrew, pram::CostModel{}, false);
-    (void)core::ordinary_ir_pram_parallel(op, sys, init, machine);
+    (void)core::pram_jumping_replay(op, plan, init, machine);
     const double norm = static_cast<double>(machine.stats().time) * static_cast<double>(p) /
                         (static_cast<double>(n) * std::log2(static_cast<double>(n)));
     table.add_row({std::to_string(p), std::to_string(machine.stats().time),

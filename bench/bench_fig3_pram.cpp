@@ -22,7 +22,8 @@
 
 #include "algebra/monoids.hpp"
 #include "bench_report.hpp"
-#include "core/ordinary_ir_pram.hpp"
+#include "core/plan.hpp"
+#include "core/pram_replay.hpp"
 #include "obs/metrics_export.hpp"
 #include "support/rng.hpp"
 #include "support/table.hpp"
@@ -57,7 +58,8 @@ int main(int argc, char** argv) {
 
   // The sequential baseline ("Original IR Loop"): independent of P.
   pram::Machine baseline(1, pram::AccessMode::kCrew, pram::CostModel{}, /*audit=*/false);
-  const auto expected = core::ordinary_ir_pram_original_loop(op, sys, init, baseline);
+  const auto expected = core::pram_original_loop(op, core::GeneralIrSystem::from_ordinary(sys),
+                                                 init, baseline);
   const auto original_time = baseline.stats().time;
 
   std::printf("FIG3: Ordinary IR on the PRAM simulator, n = %zu\n", n);
@@ -68,13 +70,18 @@ int main(int argc, char** argv) {
   table.set_header({"P", "Parallel IR Solution", "Original IR Loop", "parallel/model",
                     "speedup vs P=1"});
 
+  // The parallel program is the compiled pointer-jumping schedule.
+  core::PlanOptions jumping;
+  jumping.engine = core::EngineChoice::kJumping;
+  const core::Plan plan = core::compile_plan(sys, jumping);
+
   double time_at_p1 = 0.0;
   std::size_t crossover = 0;
   std::string series;  // JSON [[P, simulated_time], ...] for the metrics dump
   std::vector<std::pair<std::size_t, std::uint64_t>> timings;  // P -> instructions
   for (std::size_t p = 1; p <= max_p; p *= 2) {
     pram::Machine machine(p, pram::AccessMode::kCrew, pram::CostModel{}, false);
-    const auto out = core::ordinary_ir_pram_parallel(op, sys, init, machine);
+    const auto out = core::pram_jumping_replay(op, plan, init, machine);
     if (out != expected) {
       std::printf("ERROR: parallel result mismatch at P = %zu\n", p);
       return 1;

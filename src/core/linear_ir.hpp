@@ -83,8 +83,9 @@ std::vector<double> moebius_ir_run(const OrdinaryIrSystem& sys,
                                    std::vector<double> x,
                                    const OrdinaryIrOptions& options = {});
 
-/// Plan-based variant: run a precompiled ordinary plan (jumping, blocked or
-/// SPMD) over the coefficient maps.  The plan carries the whole schedule, so
+/// Plan-based variant: run a precompiled ordinary plan (jumping, blocked,
+/// SPMD or scan — whatever compile_plan routed an ordinary system to) over
+/// the coefficient maps.  The plan carries the whole schedule, so
 /// this touches no index maps beyond the plan's own tables — callers timing
 /// repeated solves should compile once and call this in the loop.
 std::vector<double> moebius_ir_run(const Plan& plan,

@@ -580,6 +580,36 @@ std::vector<typename Op::Value> execute_spmd_values(
   return val;
 }
 
+/// One general-IR written cell: the balanced pairwise ⊙-fold of its powered
+/// terms base(t)^exponent(t), t in [0, count), with exponent-1 terms taken as
+/// is.  execute_plan's kGeneralCap case and the PRAM driver
+/// (core/pram_replay.hpp) both evaluate through here, so they fold in one
+/// order.  count must be at least 1.
+template <algebra::PowerOperation Op, typename BaseFn, typename ExponentFn>
+typename Op::Value fold_powered_terms(const Op& op, std::size_t count, const BaseFn& base,
+                                      const ExponentFn& exponent) {
+  using Value = typename Op::Value;
+  std::vector<Value> terms;
+  terms.reserve(count);
+  for (std::size_t t = 0; t < count; ++t) {
+    const Value& b = base(t);
+    const support::BigUint& e = exponent(t);
+    terms.push_back(e == support::BigUint{1} ? b : op.pow(b, e));
+  }
+  while (terms.size() > 1) {
+    std::size_t half = terms.size() / 2;
+    for (std::size_t k = 0; k < half; ++k) {
+      terms[k] = op.combine(terms[2 * k], terms[2 * k + 1]);
+    }
+    if (terms.size() % 2 == 1) {
+      terms[half] = terms.back();
+      ++half;
+    }
+    terms.resize(half);
+  }
+  return std::move(terms.front());
+}
+
 }  // namespace detail
 
 /// Run an ordinary-engine plan with custom root/self hooks (the Möbius
@@ -660,26 +690,11 @@ std::vector<typename Op::Value> execute_plan(const Plan& plan, const Op& op,
           // evaluation must not observe half-updated neighbours.
           const std::vector<Value> snapshot = result;
           auto eval_into = [&](std::size_t e) {
-            std::vector<Value> terms;
-            terms.reserve(gs.term_begin[e + 1] - gs.term_begin[e]);
-            for (std::size_t t = gs.term_begin[e]; t < gs.term_begin[e + 1]; ++t) {
-              const Value& base = snapshot[gs.term_cell[t]];
-              terms.push_back(gs.term_exp[t] == support::BigUint{1}
-                                  ? base
-                                  : op.pow(base, gs.term_exp[t]));
-            }
-            while (terms.size() > 1) {
-              std::size_t half = terms.size() / 2;
-              for (std::size_t k = 0; k < half; ++k) {
-                terms[k] = op.combine(terms[2 * k], terms[2 * k + 1]);
-              }
-              if (terms.size() % 2 == 1) {
-                terms[half] = terms.back();
-                ++half;
-              }
-              terms.resize(half);
-            }
-            finals[e] = terms.front();
+            const std::size_t first = gs.term_begin[e];
+            finals[e] = detail::fold_powered_terms(
+                op, gs.term_begin[e + 1] - first,
+                [&](std::size_t t) -> const Value& { return snapshot[gs.term_cell[first + t]]; },
+                [&](std::size_t t) -> const support::BigUint& { return gs.term_exp[first + t]; });
           };
           if (exec.pool != nullptr) {
             parallel::parallel_for(*exec.pool, gs.cell.size(), eval_into);

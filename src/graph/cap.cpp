@@ -8,10 +8,7 @@
 
 namespace ir::graph {
 
-namespace {
-
-/// Merge duplicate targets in an edge list by summing labels, in place.
-void coalesce(std::vector<Edge>& edges) {
+void coalesce_edges(std::vector<Edge>& edges) {
   if (edges.size() <= 1) return;
   std::unordered_map<NodeId, std::size_t> slot;
   std::vector<Edge> merged;
@@ -27,8 +24,6 @@ void coalesce(std::vector<Edge>& edges) {
   edges = std::move(merged);
 }
 
-/// One CAP round for one node: every edge to a non-leaf k is replaced by the
-/// composites through k; edges to leaves survive unchanged.
 std::vector<Edge> substitute_node(const std::vector<std::vector<Edge>>& adjacency,
                                   const std::vector<bool>& is_leaf, NodeId v) {
   std::vector<Edge> next;
@@ -45,7 +40,15 @@ std::vector<Edge> substitute_node(const std::vector<std::vector<Edge>>& adjacenc
   return next;
 }
 
-}  // namespace
+bool cap_converged(const std::vector<std::vector<Edge>>& adjacency,
+                   const std::vector<bool>& is_leaf) {
+  for (const auto& edges : adjacency) {
+    for (const auto& e : edges) {
+      if (!is_leaf[e.to]) return false;
+    }
+  }
+  return true;
+}
 
 CapResult cap_closure(const LabeledDag& graph, const CapOptions& options) {
   graph.verify_acyclic();
@@ -80,23 +83,13 @@ CapResult cap_closure(const LabeledDag& graph, const CapOptions& options) {
   // n edges, plus slack for the final no-op verification round.
   const std::size_t max_rounds = std::bit_width(n) + 2;
 
-  for (;;) {
-    bool done = true;
-    for (NodeId v = 0; v < n && done; ++v) {
-      for (const auto& e : adjacency[v]) {
-        if (!is_leaf[e.to]) {
-          done = false;
-          break;
-        }
-      }
-    }
-    if (done) break;
+  while (!cap_converged(adjacency, is_leaf)) {
     IR_INVARIANT(result.rounds < max_rounds, "CAP failed to converge (graph bug)");
 
     std::vector<std::vector<Edge>> next(n);
     auto relax = [&](std::size_t v) {
       next[v] = substitute_node(adjacency, is_leaf, v);
-      if (options.coalesce_each_round) coalesce(next[v]);
+      if (options.coalesce_each_round) coalesce_edges(next[v]);
     };
     if (options.pool != nullptr) {
       parallel::parallel_for(*options.pool, n, relax);
@@ -112,7 +105,7 @@ CapResult cap_closure(const LabeledDag& graph, const CapOptions& options) {
   }
 
   if (!options.coalesce_each_round) {
-    for (auto& edges : adjacency) coalesce(edges);
+    for (auto& edges : adjacency) coalesce_edges(edges);
   }
   for (NodeId v = 0; v < n; ++v) {
     if (is_leaf[v]) adjacency[v] = {Edge{v, PathCount{1}}};
@@ -141,7 +134,7 @@ std::vector<std::vector<Edge>> path_counts_reference(const LabeledDag& graph) {
         acc.push_back(Edge{leaf_count.to, edge.label * leaf_count.label});
       }
     }
-    coalesce(acc);
+    coalesce_edges(acc);
     counts[v] = std::move(acc);
   }
   return counts;

@@ -60,6 +60,24 @@ struct CapResult {
 /// Run the CAP closure.  Throws ContractViolation if the graph is cyclic.
 [[nodiscard]] CapResult cap_closure(const LabeledDag& graph, const CapOptions& options = {});
 
+/// The closure's building blocks, shared with the PRAM driver
+/// (core/pram_replay.hpp) so the simulated rounds run this exact code.
+///
+/// One CAP round for node v, "paths multiplication" (Fig. 7): every edge to a
+/// non-leaf k is replaced by the composites through k; edges to leaves
+/// survive unchanged.  Reads only `adjacency`, the round's input graph.
+[[nodiscard]] std::vector<Edge> substitute_node(
+    const std::vector<std::vector<Edge>>& adjacency, const std::vector<bool>& is_leaf,
+    NodeId v);
+
+/// "Paths addition" (Fig. 8): merge duplicate targets by summing labels, in
+/// place, keeping each target's first position.
+void coalesce_edges(std::vector<Edge>& edges);
+
+/// The closure's stopping test: true once every edge points at a leaf.
+[[nodiscard]] bool cap_converged(const std::vector<std::vector<Edge>>& adjacency,
+                                 const std::vector<bool>& is_leaf);
+
 /// Reference implementation: reverse-topological dynamic program (the
 /// efficient sequential algorithm CAP is the parallel counterpart of).
 /// Produces the same `counts` contract as cap_closure.

@@ -68,8 +68,9 @@ struct CostReport {
 
   std::size_t work = 0;            ///< Σ phase ops
   std::size_t depth = 0;           ///< longest ⊙ chain
-  std::size_t steps = 0;           ///< Σ phase steps (== pram::Machine steps
-                                   ///  for jumping plans without early exit)
+  std::size_t steps = 0;           ///< Σ phase steps (== the pram::Machine
+                                   ///  steps of core::pram_jumping_replay
+                                   ///  for a jumping plan with >= 1 round)
   std::size_t rounds = 0;          ///< parallel concatenation rounds (jumping/
                                    ///  SPMD: JumpSchedule::rounds(); blocked:
                                    ///  resolve rounds; 0 otherwise)

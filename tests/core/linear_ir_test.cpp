@@ -4,6 +4,7 @@
 
 #include <cmath>
 
+#include "core/plan.hpp"
 #include "testing/random_systems.hpp"
 
 namespace ir::core {
@@ -139,6 +140,33 @@ TEST(MoebiusIrTest, FractionalLoopMatches) {
       EXPECT_NEAR(actual[i], expect[i], 1e-6) << "cell " << i;
     }
   }
+}
+
+TEST(MoebiusIrTest, PlanOverloadRunsAutoRoutedChainPlan) {
+  // A chain system compiles to kScan under kAuto; the plan overload must run
+  // that plan like any other ordinary-engine plan.
+  support::SplitMix64 rng(36);
+  const std::size_t n = 200;
+  LinearIrLoop loop;
+  loop.system.cells = n + 1;
+  for (std::size_t i = 0; i < n; ++i) {
+    loop.system.f.push_back(i);
+    loop.system.g.push_back(i + 1);
+    loop.mul.push_back(rng.uniform(-0.95, 0.95));
+    loop.add.push_back(rng.uniform(-1.0, 1.0));
+  }
+  const auto init = random_values(n + 1, rng);
+  const Plan plan = compile_plan(loop.system);
+  ASSERT_EQ(plan.engine, PlanEngine::kScan);
+  std::vector<MoebiusMap> maps;
+  for (std::size_t i = 0; i < n; ++i) maps.push_back(MoebiusMap::affine(loop.mul[i], loop.add[i]));
+  expect_near(moebius_ir_run(plan, maps, init), linear_ir_sequential(loop, init));
+
+  // Plans without per-iteration traces stay rejected.
+  const Plan elementwise = compile_plan(OrdinaryIrSystem{3, {0}, {1}});
+  ASSERT_EQ(elementwise.engine, PlanEngine::kElementwise);
+  EXPECT_THROW(moebius_ir_run(elementwise, {MoebiusMap::affine(2.0, 1.0)}, {1.0, 0.0, 0.0}),
+               support::ContractViolation);
 }
 
 TEST(LinearIrTest, ThreadPoolMatches) {

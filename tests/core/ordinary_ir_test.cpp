@@ -62,12 +62,15 @@ TEST(OrdinaryIrParallelTest, SingleChainMatchesAndUsesLogRounds) {
   OrdinaryIrStats stats;
   ExecOptions exec;
   exec.ordinary_stats = &stats;
-  const auto actual = execute_plan(compile_plan(sys, jumping()), AddMonoid<std::uint64_t>{}, init,
-                                   exec);
+  const Plan plan = compile_plan(sys, jumping());
+  const auto actual = execute_plan(plan, AddMonoid<std::uint64_t>{}, init, exec);
   EXPECT_EQ(actual, expect);
   EXPECT_EQ(actual[n], n + 1);  // 1 + n additions of 1
   EXPECT_LE(stats.rounds, static_cast<std::size_t>(std::bit_width(n)));
   EXPECT_GE(stats.rounds, static_cast<std::size_t>(std::bit_width(n)) - 1);
+  // Early termination (ABL-1): completed traces leave the schedule, so it
+  // holds fewer moves than visiting all n traces every round would.
+  EXPECT_LT(plan.jump.moves(), plan.jump.rounds() * n);
 }
 
 TEST(OrdinaryIrParallelTest, NonCommutativeOrderPreserved) {

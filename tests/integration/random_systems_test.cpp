@@ -7,8 +7,8 @@
 #include "algebra/monoids.hpp"
 #include "core/general_ir.hpp"
 #include "core/ordinary_ir.hpp"
-#include "core/ordinary_ir_pram.hpp"
 #include "core/plan.hpp"
+#include "core/pram_replay.hpp"
 #include "testing/plan_options.hpp"
 #include "testing/random_systems.hpp"
 
@@ -53,16 +53,17 @@ TEST_P(AllRoutesAgreeTest, OrdinaryRoutes) {
   pooled.processor_cap = 2;
   EXPECT_EQ(core::execute_plan(core::compile_plan(sys, jumping), op, init, pooled), sequential);
 
-  // PRAM-simulated, audited CREW.
+  // The jumping plan replayed on the PRAM simulator, audited CREW.
   pram::Machine machine(5, pram::AccessMode::kCrew);
-  EXPECT_EQ(ordinary_ir_pram_parallel(op, sys, init, machine), sequential);
+  EXPECT_EQ(core::pram_jumping_replay(op, core::compile_plan(sys, jumping), init, machine),
+            sequential);
 
   // PRAM original loop.
+  const auto gir = GeneralIrSystem::from_ordinary(sys);
   pram::Machine baseline(1);
-  EXPECT_EQ(ordinary_ir_pram_original_loop(op, sys, init, baseline), sequential);
+  EXPECT_EQ(core::pram_original_loop(op, gir, init, baseline), sequential);
 
   // GIR embedding (h := g) through CAP.
-  const auto gir = GeneralIrSystem::from_ordinary(sys);
   EXPECT_EQ(core::execute_plan(core::compile_plan(gir, plain_cap_options()), op, init), sequential);
 }
 

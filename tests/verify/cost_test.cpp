@@ -15,8 +15,8 @@
 
 #include "algebra/monoids.hpp"
 #include "core/ordinary_ir.hpp"
-#include "core/ordinary_ir_pram.hpp"
 #include "core/plan.hpp"
+#include "core/pram_replay.hpp"
 #include "support/contract.hpp"
 
 namespace ir::verify {
@@ -249,9 +249,9 @@ std::size_t bank_occupancy(const std::vector<const void*>& addresses,
   return peak;
 }
 
-/// Run the jumping plan's system on the simulator (early termination off, so
-/// every compiled round is a machine step) and check the predictor against
-/// the machine's actual behavior: step count, round count, and the bank
+/// Replay the jumping plan on the simulator (every compiled round is one
+/// machine step) and check the predictor against the machine's actual
+/// behavior: step count, round count, each round's write count, and the bank
 /// occupancy of the scatter step's writes into the result array.
 void expect_predictions_match_machine(const OrdinaryIrSystem& sys,
                                       const char* context) {
@@ -263,9 +263,8 @@ void expect_predictions_match_machine(const OrdinaryIrSystem& sys,
       [&](const pram::Machine::StepAccesses& step) { trace.push_back(step); });
   std::vector<std::uint64_t> initial(sys.cells);
   for (std::size_t c = 0; c < sys.cells; ++c) initial[c] = 1 + c;
-  const std::vector<std::uint64_t> result = core::ordinary_ir_pram_parallel(
-      AddMonoid<std::uint64_t>{}, sys, std::move(initial), machine,
-      /*early_termination=*/false);
+  const std::vector<std::uint64_t> result = core::pram_jumping_replay(
+      AddMonoid<std::uint64_t>{}, plan, std::move(initial), machine);
 
   // The predictor's step structure is the machine's: seed + rounds + scatter.
   const CostReport report = cost_at(plan, 8);
@@ -273,6 +272,13 @@ void expect_predictions_match_machine(const OrdinaryIrSystem& sys,
   EXPECT_EQ(report.rounds, machine.stats().steps - 2) << context;
   EXPECT_EQ(report.rounds, plan.jump.rounds()) << context;
   ASSERT_EQ(trace.size(), report.steps) << context;
+
+  // The machine runs the plan's rounds: round r's step (after the seed step)
+  // writes val and the next pointer once per move of round_span(r).
+  for (std::size_t r = 0; r < plan.jump.rounds(); ++r) {
+    const auto [begin, end] = plan.jump.round_span(r);
+    EXPECT_EQ(trace[1 + r].writes.size(), 2 * (end - begin)) << context << " round " << r;
+  }
 
   // Ground-truth conflicts: the scatter step's writes land in the result
   // array (whose buffer `result` still owns — vector moves keep it), and
