@@ -61,10 +61,11 @@ class Machine;
 /// traffic must flow through this handle so it can be priced and audited.
 class Pe {
  public:
-  /// Cost-accounted shared read.  Returns the pre-step value (writes in the
-  /// current step are buffered, so this is automatic).
+  /// Cost-accounted shared read.  Returns the cell itself, which holds its
+  /// pre-step value until the step ends (writes in the current step are
+  /// buffered); copy it to keep it past the step.
   template <typename T>
-  T read(const T& cell);
+  const T& read(const T& cell);
 
   /// Cost-accounted shared write, applied at the end of the step.
   template <typename T>
@@ -169,7 +170,7 @@ class Machine {
 };
 
 template <typename T>
-T Pe::read(const T& cell) {
+const T& Pe::read(const T& cell) {
   item_cost_ += machine_.cost_.shared_read;
   ++machine_.stats_.shared_reads;
   if (machine_.audit_) machine_.record_read(&cell, sizeof(T), item_);
